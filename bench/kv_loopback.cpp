@@ -16,8 +16,9 @@
 // check.sh --net smoke: --smoke runs YCSB A at depth 1 and depth 16 on
 // a frozen single-shard store and exits nonzero unless depth 16 shows
 // strictly fewer commits per op AND strictly fewer quiescence waits per
-// op with nonzero fused ops (the ISSUE 10 acceptance gate), then runs
-// the stalled-client scenario: a connection parked mid-pipeline while
+// op with nonzero fused ops, and unless every depth-1 batch ran inline on
+// the event loop and no depth-16 batch did; then it runs the
+// stalled-client scenario: a connection parked mid-pipeline while
 // other clients churn node-freeing updates must leave the reclamation
 // watchdog with zero alerts and the final footprint Gauge-exact.
 #include <atomic>
@@ -68,6 +69,7 @@ struct NetCellResult {
   hohtm::harness::CellResult base;
   hohtm::harness::KvRowExtra kv;
   hohtm::harness::NetRowExtra net;
+  std::uint64_t inline_batches = 0;  // of net.batches, run on the loop
   std::uint64_t total_ops = 0;
 };
 
@@ -235,6 +237,7 @@ NetCellResult run_net_cell(const NetCellConfig& cfg) {
     cell.kv.scan_resumes += store->scan_resumes() - scan_resume_baseline;
     const Server::Counters sc = server.counters();
     cell.net.batches += sc.batches;
+    cell.inline_batches += sc.inline_batches;
     cell.net.fused_ops += sc.fused_ops;
     cell.net.bytes_in += sc.bytes_in;
     cell.net.bytes_out += sc.bytes_out;
@@ -265,9 +268,11 @@ void run_panel(const BenchEnv& env, Mix mix) {
   }
 }
 
-/// The fusion acceptance gate (ISSUE 10): YCSB A over real sockets at
-/// pipeline depth 16 must pay strictly fewer commits per op AND strictly
-/// fewer quiescence waits per op than depth 1, with nonzero fused ops.
+/// The fusion gate: YCSB A over real sockets at pipeline depth 16 must
+/// pay strictly fewer commits per op AND strictly fewer quiescence waits
+/// per op than depth 1, with nonzero fused ops. The inline rule holds
+/// too: every depth-1 batch is one op and runs on the loop thread, and
+/// no depth-16 batch does.
 int run_fusion_gate() {
   NetCellConfig cfg;
   cfg.mix = Mix::kA;
@@ -305,6 +310,16 @@ int run_fusion_gate() {
                  "net smoke: depth-16 pipeline recorded no fused ops\n");
     return 1;
   }
+  if (d1.inline_batches != d1.net.batches || d16.inline_batches != 0) {
+    std::fprintf(stderr,
+                 "net smoke: inline rule broken (depth 1: %llu of %llu "
+                 "batches inline; depth 16: %llu of %llu)\n",
+                 static_cast<unsigned long long>(d1.inline_batches),
+                 static_cast<unsigned long long>(d1.net.batches),
+                 static_cast<unsigned long long>(d16.inline_batches),
+                 static_cast<unsigned long long>(d16.net.batches));
+    return 1;
+  }
   if (commits16 >= commits1) {
     std::fprintf(stderr,
                  "net smoke: commits/op did not drop with pipeline depth "
@@ -321,18 +336,20 @@ int run_fusion_gate() {
   }
   std::printf(
       "# net smoke ok: commits/op %.3f -> %.3f, qwaits/op %.4f -> %.4f, "
-      "%llu ops fused across %llu batches\n",
+      "%llu ops fused across %llu batches, %llu depth-1 batches inline\n",
       commits1, commits16, qwaits1, qwaits16,
       static_cast<unsigned long long>(d16.net.fused_ops),
-      static_cast<unsigned long long>(d16.net.batches));
+      static_cast<unsigned long long>(d16.net.batches),
+      static_cast<unsigned long long>(d1.inline_batches));
   return 0;
 }
 
 /// The serving-robustness gate: a connection parked mid-pipeline while a
 /// healthy one churns node-freeing updates. Workers never touch sockets
-/// and the event loop never joins a transaction, so the parked client
-/// can hold neither a reservation nor a quiescence slot: the watchdog
-/// must stay silent and teardown must be Gauge-exact.
+/// and the event loop finishes any inline op before it touches another
+/// socket, so the parked client can hold neither a reservation nor a
+/// quiescence slot: the watchdog must stay silent and teardown must be
+/// Gauge-exact.
 int run_stalled_client_gate() {
   using hohtm::reclaim::Watchdog;
   Watchdog::reset_for_testing();

@@ -225,27 +225,18 @@ class Service {
   /// and signals `req.done` with kShutdown instead of parking the
   /// request (and its waiter) behind a drained ring forever.
   bool submit(Request req) {
-    // Dekker handshake with stop(): the submitter publishes itself then
-    // checks the flag; stop() publishes the flag then waits for the
-    // submitter count to drain. seq_cst on both sides so one of the two
-    // always observes the other — acquire/release alone would let both
-    // loads pass both stores and push into a ring no worker will drain.
-    submitters_.fetch_add(1, std::memory_order_seq_cst);
-    if (stopped_.load(std::memory_order_seq_cst)) {
-      submitters_.fetch_sub(1, std::memory_order_seq_cst);
-      submitters_.notify_all();
-      if (req.done != nullptr) req.done->signal(ResultCode::kShutdown);
-      return false;
-    }
-    ring_.push(std::move(req));
-    submitters_.fetch_sub(1, std::memory_order_seq_cst);
-    // seq_cst so this load cannot stay stale past stop()'s flag store:
-    // either it sees the flag (and notifies the waiter), or the whole
-    // decrement is seq_cst-before stop()'s count probe, which then reads
-    // zero and never parks. A weaker order could do neither — skipping
-    // the notify a parked stop() depends on.
-    if (stopped_.load(std::memory_order_seq_cst)) submitters_.notify_all();
-    return true;
+    return gated(req, [&] { ring_.push(std::move(req)); });
+  }
+
+  /// Run one request to completion on the calling thread instead of a
+  /// worker: `req.done` has signalled by the time this returns. Passes
+  /// the same stop() gate as submit() — after stop() begins it returns
+  /// false and answers kShutdown without touching the store, and stop()
+  /// waits for an op already past the gate — and counts in stats().
+  /// The net event loop runs single-op pipeline reads this way
+  /// (docs/SERVING.md). Never pass kStop.
+  bool run_here(Request req) {
+    return gated(req, [&] { execute(req, inline_stats_.value); });
   }
 
   /// Convenience synchronous client calls (one Completion on the stack).
@@ -301,8 +292,9 @@ class Service {
   /// kShutdown — either way no waiter hangs.
   void stop() {
     if (stopped_.exchange(true, std::memory_order_seq_cst)) return;
-    // Wait out in-flight submitters (the other half of the submit()
-    // handshake) so the sentinels land after every accepted request.
+    // Wait out in-flight submit()s and run_here()s (the other half of
+    // the gated() handshake) so the sentinels land after every accepted
+    // request and no inline op is still inside the store.
     for (;;) {
       const std::size_t in_flight =
           submitters_.load(std::memory_order_seq_cst);
@@ -319,12 +311,14 @@ class Service {
 
   Stats stats() const noexcept {
     Stats total;
-    for (const auto& s : worker_stats_) {
-      total.gets += s.value.gets.load(std::memory_order_relaxed);
-      total.puts += s.value.puts.load(std::memory_order_relaxed);
-      total.dels += s.value.dels.load(std::memory_order_relaxed);
-      total.scans += s.value.scans.load(std::memory_order_relaxed);
-    }
+    const auto add = [&total](const AtomicStats& s) {
+      total.gets += s.gets.load(std::memory_order_relaxed);
+      total.puts += s.puts.load(std::memory_order_relaxed);
+      total.dels += s.dels.load(std::memory_order_relaxed);
+      total.scans += s.scans.load(std::memory_order_relaxed);
+    };
+    for (const auto& s : worker_stats_) add(s.value);
+    add(inline_stats_.value);
     return total;
   }
 
@@ -352,6 +346,32 @@ class Service {
     std::atomic<std::uint64_t> scans{0};
   };
 
+  /// The submit()/run_here() side of the Dekker handshake with stop():
+  /// the caller publishes itself then checks the flag; stop() publishes
+  /// the flag then waits for the caller count to drain. seq_cst on both
+  /// sides so one of the two always observes the other — acquire/release
+  /// alone would let both loads pass both stores and hand a request to a
+  /// ring no worker will drain (or to a store being torn down).
+  template <class Body>
+  bool gated(Request& req, Body&& body) {
+    submitters_.fetch_add(1, std::memory_order_seq_cst);
+    if (stopped_.load(std::memory_order_seq_cst)) {
+      submitters_.fetch_sub(1, std::memory_order_seq_cst);
+      submitters_.notify_all();
+      if (req.done != nullptr) req.done->signal(ResultCode::kShutdown);
+      return false;
+    }
+    body();
+    submitters_.fetch_sub(1, std::memory_order_seq_cst);
+    // seq_cst so this load cannot stay stale past stop()'s flag store:
+    // either it sees the flag (and notifies the waiter), or the whole
+    // decrement is seq_cst-before stop()'s count probe, which then reads
+    // zero and never parks. A weaker order could do neither — skipping
+    // the notify a parked stop() depends on.
+    if (stopped_.load(std::memory_order_seq_cst)) submitters_.notify_all();
+    return true;
+  }
+
   void serve() {
     const std::size_t me =
         worker_seq_.fetch_add(1, std::memory_order_relaxed) %
@@ -360,110 +380,116 @@ class Service {
     for (;;) {
       Request req = ring_.pop();
       if (req.op == OpCode::kStop) return;  // one sentinel per worker
-      Completion* done = req.done;
-      switch (req.op) {
-        case OpCode::kGet: {
-          stats.gets.fetch_add(1, std::memory_order_relaxed);
-          std::string value;
-          const bool hit = store_.get(req.key, value);
-          if (done != nullptr) {
-            done->value = std::move(value);
-            done->signal(hit ? ResultCode::kOk : ResultCode::kNotFound);
-          }
-          break;
+      execute(req, stats);
+    }
+  }
+
+  /// Run one request against the store and signal its Completion — the
+  /// single op switch behind both the workers and run_here().
+  void execute(Request& req, AtomicStats& stats) {
+    Completion* done = req.done;
+    switch (req.op) {
+      case OpCode::kGet: {
+        stats.gets.fetch_add(1, std::memory_order_relaxed);
+        std::string value;
+        const bool hit = store_.get(req.key, value);
+        if (done != nullptr) {
+          done->value = std::move(value);
+          done->signal(hit ? ResultCode::kOk : ResultCode::kNotFound);
         }
-        case OpCode::kPut: {
-          stats.puts.fetch_add(1, std::memory_order_relaxed);
-          const bool created = store_.put(req.key, req.value);
-          if (done != nullptr) {
-            done->created = created;
-            done->signal(ResultCode::kOk);
-          }
-          break;
-        }
-        case OpCode::kDel: {
-          stats.dels.fetch_add(1, std::memory_order_relaxed);
-          const bool hit = store_.del(req.key);
-          if (done != nullptr)
-            done->signal(hit ? ResultCode::kOk : ResultCode::kNotFound);
-          break;
-        }
-        case OpCode::kScan: {
-          stats.scans.fetch_add(1, std::memory_order_relaxed);
-          std::size_t n = 0;
-          if (req.collect && done != nullptr) {
-            done->entries.clear();
-            n = store_.scan_from(
-                req.key, req.scan_limit,
-                [done](const std::string& k, const std::string& v) {
-                  done->entries.emplace_back(k, v);
-                });
-          } else {
-            n = store_.scan_from(
-                req.key, req.scan_limit,
-                [](const std::string&, const std::string&) {});
-          }
-          if (done != nullptr) {
-            done->scan_count = n;
-            done->signal(ResultCode::kOk);
-          }
-          break;
-        }
-        case OpCode::kBatch: {
-          // Pipelined group: stats ops answer locally, everything else
-          // goes through Store::run_batch, which fuses consecutive
-          // same-shard runs into single window transactions.
-          BatchCounters bc;
-          BatchOp* ops = req.batch;
-          const std::size_t n = req.batch_len;
-          std::size_t i = 0;
-          while (i < n) {
-            if (ops[i].op == OpCode::kStats) {
-              ops[i].out = stats_snapshot();
-              ops[i].hit = true;
-              ++i;
-              continue;
-            }
-            std::size_t j = i;
-            while (j < n && ops[j].op != OpCode::kStats) ++j;
-            store_.run_batch(ops + i, j - i, bc);
-            i = j;
-          }
-          for (i = 0; i < n; ++i) {
-            switch (ops[i].op) {
-              case OpCode::kGet:
-                stats.gets.fetch_add(1, std::memory_order_relaxed);
-                break;
-              case OpCode::kPut:
-                stats.puts.fetch_add(1, std::memory_order_relaxed);
-                break;
-              case OpCode::kDel:
-                stats.dels.fetch_add(1, std::memory_order_relaxed);
-                break;
-              case OpCode::kScan:
-                stats.scans.fetch_add(1, std::memory_order_relaxed);
-                break;
-              default:
-                break;
-            }
-          }
-          if (done != nullptr) {
-            done->fused_ops = bc.fused_ops;
-            done->batch_txs = bc.batch_txs;
-            done->signal(ResultCode::kOk);
-          }
-          break;
-        }
-        case OpCode::kStats: {
-          if (done != nullptr) {
-            done->value = stats_snapshot();
-            done->signal(ResultCode::kOk);
-          }
-          break;
-        }
-        case OpCode::kStop:
-          break;  // handled above
+        break;
       }
+      case OpCode::kPut: {
+        stats.puts.fetch_add(1, std::memory_order_relaxed);
+        const bool created = store_.put(req.key, req.value);
+        if (done != nullptr) {
+          done->created = created;
+          done->signal(ResultCode::kOk);
+        }
+        break;
+      }
+      case OpCode::kDel: {
+        stats.dels.fetch_add(1, std::memory_order_relaxed);
+        const bool hit = store_.del(req.key);
+        if (done != nullptr)
+          done->signal(hit ? ResultCode::kOk : ResultCode::kNotFound);
+        break;
+      }
+      case OpCode::kScan: {
+        stats.scans.fetch_add(1, std::memory_order_relaxed);
+        std::size_t n = 0;
+        if (req.collect && done != nullptr) {
+          done->entries.clear();
+          n = store_.scan_from(
+              req.key, req.scan_limit,
+              [done](const std::string& k, const std::string& v) {
+                done->entries.emplace_back(k, v);
+              });
+        } else {
+          n = store_.scan_from(
+              req.key, req.scan_limit,
+              [](const std::string&, const std::string&) {});
+        }
+        if (done != nullptr) {
+          done->scan_count = n;
+          done->signal(ResultCode::kOk);
+        }
+        break;
+      }
+      case OpCode::kBatch: {
+        // Pipelined group: stats ops answer locally, everything else
+        // goes through Store::run_batch, which fuses consecutive
+        // same-shard runs into single window transactions.
+        BatchCounters bc;
+        BatchOp* ops = req.batch;
+        const std::size_t n = req.batch_len;
+        std::size_t i = 0;
+        while (i < n) {
+          if (ops[i].op == OpCode::kStats) {
+            ops[i].out = stats_snapshot();
+            ops[i].hit = true;
+            ++i;
+            continue;
+          }
+          std::size_t j = i;
+          while (j < n && ops[j].op != OpCode::kStats) ++j;
+          store_.run_batch(ops + i, j - i, bc);
+          i = j;
+        }
+        for (i = 0; i < n; ++i) {
+          switch (ops[i].op) {
+            case OpCode::kGet:
+              stats.gets.fetch_add(1, std::memory_order_relaxed);
+              break;
+            case OpCode::kPut:
+              stats.puts.fetch_add(1, std::memory_order_relaxed);
+              break;
+            case OpCode::kDel:
+              stats.dels.fetch_add(1, std::memory_order_relaxed);
+              break;
+            case OpCode::kScan:
+              stats.scans.fetch_add(1, std::memory_order_relaxed);
+              break;
+            default:
+              break;
+          }
+        }
+        if (done != nullptr) {
+          done->fused_ops = bc.fused_ops;
+          done->batch_txs = bc.batch_txs;
+          done->signal(ResultCode::kOk);
+        }
+        break;
+      }
+      case OpCode::kStats: {
+        if (done != nullptr) {
+          done->value = stats_snapshot();
+          done->signal(ResultCode::kOk);
+        }
+        break;
+      }
+      case OpCode::kStop:
+        break;  // consumed by serve(); never passed to run_here()
     }
   }
 
@@ -471,9 +497,10 @@ class Service {
   RequestRing ring_;
   std::vector<std::thread> workers_;
   std::atomic<bool> stopped_{false};
-  std::atomic<std::size_t> submitters_{0};  // submit()s inside the gate
+  std::atomic<std::size_t> submitters_{0};  // callers inside the gate
   std::atomic<std::size_t> worker_seq_{0};
   util::CachePadded<AtomicStats> worker_stats_[util::kMaxThreads];
+  util::CachePadded<AtomicStats> inline_stats_;  // run_here() callers
 };
 
 }  // namespace hohtm::kv

@@ -26,18 +26,24 @@ namespace hohtm::net {
 /// thread runs a level-triggered epoll over the listener, an eventfd,
 /// and every connection. Reads decode incrementally (torn frames and
 /// coalesced reads are the normal case), decoded ops from one pipeline
-/// read are bridged into the ring as a single kv::OpCode::kBatch request
-/// — the batch boundary the store fuses into one window transaction per
-/// same-shard run — with at most one batch in flight per connection, so
-/// a pipeline executes in program order and responses are written back
-/// strictly in submission order. Backpressure is a bounded
-/// in-flight-op window per connection: when it fills, the connection's
-/// EPOLLIN is dropped until completions drain, so a client that outruns
-/// the store parks in its socket buffer instead of ballooning server
-/// memory. Workers never see a socket and the loop thread never joins a
-/// transaction mid-op, so a stalled client cannot hold a reservation or
-/// a quiescence fence — the precise-reclamation robustness argument the
-/// stalled-client test pins down.
+/// read become a single kv::OpCode::kBatch request — the batch boundary
+/// the store fuses into one window transaction per same-shard run — with
+/// at most one batch in flight per connection, so a pipeline executes in
+/// program order and responses are written back strictly in submission
+/// order. A batch of several ops, a scan, or a STATS goes through the
+/// ring to a worker; a batch of exactly one GET, PUT or DEL cannot fuse,
+/// so the loop runs it itself (Service::run_here) and skips the ring hop
+/// and the eventfd round trip. Backpressure is a bounded in-flight-op
+/// window per connection: when it fills, the connection's EPOLLIN is
+/// dropped until completions drain, so a client that outruns the store
+/// parks in its socket buffer instead of ballooning server memory.
+/// Workers never see a socket, and an inline op runs to completion
+/// before the loop touches another socket or enters epoll_wait, so a
+/// stalled client cannot hold a reservation or a quiescence fence — the
+/// precise-reclamation robustness argument the stalled-client test pins
+/// down. The price of inlining: an inline PUT's commit fence waits for
+/// in-flight worker transactions, so a worker stalled mid-window pauses
+/// the loop too.
 template <class TM, class RR>
 class Server {
  public:
@@ -52,7 +58,8 @@ class Server {
   struct Counters {
     std::uint64_t accepted = 0;
     std::uint64_t closed = 0;
-    std::uint64_t batches = 0;     // kBatch requests submitted to the ring
+    std::uint64_t batches = 0;     // pipeline batches, ring or inline
+    std::uint64_t inline_batches = 0;  // of those, run on the loop thread
     std::uint64_t fused_ops = 0;   // ops committed inside fused groups
     std::uint64_t batch_txs = 0;   // fused group transactions
     std::uint64_t bytes_in = 0;
@@ -104,6 +111,7 @@ class Server {
     out.accepted = c_accepted_.load(std::memory_order_relaxed);
     out.closed = c_closed_.load(std::memory_order_relaxed);
     out.batches = c_batches_.load(std::memory_order_relaxed);
+    out.inline_batches = c_inline_batches_.load(std::memory_order_relaxed);
     out.fused_ops = c_fused_ops_.load(std::memory_order_relaxed);
     out.batch_txs = c_batch_txs_.load(std::memory_order_relaxed);
     out.bytes_in = c_bytes_in_.load(std::memory_order_relaxed);
@@ -115,10 +123,10 @@ class Server {
   }
 
  private:
-  /// One submitted pipeline batch: the kv ops (results written in place
-  /// by the worker), the wire identity of each op for the response
-  /// encoder, and the Completion the worker signals. Owned by the
-  /// connection's pending queue; freed only after the signal.
+  /// One pipeline batch: the kv ops (results written in place by the
+  /// executor), the wire identity of each op for the response encoder,
+  /// and the Completion the executor signals. Each connection owns one,
+  /// refilled for every batch and never touched while a worker holds it.
   struct NetBatch {
     std::vector<kv::BatchOp> ops;
     std::vector<std::uint32_t> seqs;
@@ -130,13 +138,14 @@ class Server {
     int fd = -1;
     FrameDecoder dec;
     std::deque<NetOp> staged;  // decoded, not yet submitted
-    std::deque<std::unique_ptr<NetBatch>> pending;  // submission order
+    NetBatch batch;            // the one batch in flight, if inflight > 0
     std::string outbuf;
     std::size_t outoff = 0;
-    std::size_t inflight = 0;  // ops submitted, completion not harvested
+    std::size_t inflight = 0;  // ops in `batch`, completion not harvested
     std::uint64_t last_in_ns = 0;
-    bool reading = true;   // EPOLLIN armed
-    bool want_out = false; // EPOLLOUT armed
+    std::uint32_t armed = EPOLLIN;  // interest set epoll currently holds
+    bool reading = true;   // want EPOLLIN
+    bool want_out = false; // want EPOLLOUT
     bool closing = false;  // serve what's queued, then close
     bool reject = false;   // owe a bad_frame response, in order, then close
 
@@ -162,11 +171,16 @@ class Server {
     epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
   }
 
+  /// Sync epoll with reading/want_out; a syscall only when they changed.
   void rearm(Conn& c) {
+    const std::uint32_t want =
+        (c.reading ? EPOLLIN : 0u) | (c.want_out ? EPOLLOUT : 0u);
+    if (want == c.armed) return;
     epoll_event ev{};
-    ev.events = (c.reading ? EPOLLIN : 0u) | (c.want_out ? EPOLLOUT : 0u);
+    ev.events = want;
     ev.data.fd = c.fd;
     epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c.fd, &ev);
+    c.armed = want;
   }
 
   void run() {
@@ -174,10 +188,13 @@ class Server {
     const int kMetricBytesOut =
         util::MetricsRegistry::counter("net.bytes_out");
     const int kMetricBatches = util::MetricsRegistry::counter("net.batches");
+    const int kMetricInline =
+        util::MetricsRegistry::counter("net.inline_batches");
     const int kMetricFused = util::MetricsRegistry::counter("net.fused_ops");
     metric_bytes_in_ = kMetricBytesIn;
     metric_bytes_out_ = kMetricBytesOut;
     metric_batches_ = kMetricBatches;
+    metric_inline_ = kMetricInline;
     metric_fused_ = kMetricFused;
     std::vector<epoll_event> events(64);
     while (!stop_.load(std::memory_order_acquire)) {
@@ -238,10 +255,10 @@ class Server {
     }
   }
 
+  /// One read resets the (non-semaphore) eventfd counter to zero.
   void drain_wake() {
     std::uint64_t buf = 0;
-    while (::read(wake_fd_, &buf, sizeof(buf)) > 0) {
-    }
+    [[maybe_unused]] const ssize_t r = ::read(wake_fd_, &buf, sizeof(buf));
   }
 
   void read_ready(Conn& c) {
@@ -297,7 +314,7 @@ class Server {
   /// Emit the owed bad_frame rejection once everything accepted before
   /// the bad bytes has been served: it is the connection's last response.
   void finish_reject(Conn& c) {
-    if (!c.reject || !c.pending.empty() || !c.staged.empty()) return;
+    if (!c.reject || c.inflight != 0 || !c.staged.empty()) return;
     NetResponse bad;
     bad.op = WireOp::kGet;
     bad.status = WireStatus::kBadFrame;
@@ -308,72 +325,15 @@ class Server {
 
   /// True once a closing connection has nothing left to serve or flush.
   bool done_closing(const Conn& c) const {
-    return c.closing && !c.reject && c.pending.empty() && c.staged.empty() &&
+    return c.closing && !c.reject && c.inflight == 0 && c.staged.empty() &&
            c.outoff == c.outbuf.size();
   }
 
-  /// Submit staged ops as ONE kBatch request of up to the window's worth
-  /// of ops — the batch boundary Store::run_batch fuses per same-shard
-  /// run. At most one batch is in flight per connection: the ring may
-  /// serve different connections' batches on different workers, but a
-  /// single connection's pipeline must execute in program order (a PUT
-  /// followed by a DEL of the same key has exactly one right answer), and
-  /// ordering inside a batch plus one-batch-at-a-time gives exactly that.
+  /// Turn staged ops into batches, one at a time, until one is left
+  /// running on a worker or nothing is staged.
   void pump(Conn& c) {
-    if (!c.staged.empty() && c.pending.empty()) {
-      const std::size_t take = c.staged.size() < opt_.max_inflight_ops
-                                   ? c.staged.size()
-                                   : opt_.max_inflight_ops;
-      auto batch = std::make_unique<NetBatch>();
-      batch->ops.reserve(take);
-      batch->seqs.reserve(take);
-      batch->wire_ops.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        NetOp& in = c.staged.front();
-        kv::BatchOp op;
-        switch (in.op) {
-          case WireOp::kGet:
-            op.op = kv::OpCode::kGet;
-            break;
-          case WireOp::kPut:
-            op.op = kv::OpCode::kPut;
-            break;
-          case WireOp::kDel:
-            op.op = kv::OpCode::kDel;
-            break;
-          case WireOp::kScan:
-            op.op = kv::OpCode::kScan;
-            break;
-          case WireOp::kStats:
-            op.op = kv::OpCode::kStats;
-            break;
-        }
-        op.key = std::move(in.key);
-        op.value = std::move(in.value);
-        op.scan_limit = in.scan_limit;
-        batch->seqs.push_back(in.seq);
-        batch->wire_ops.push_back(in.op);
-        batch->ops.push_back(std::move(op));
-        c.staged.pop_front();
-      }
-      batch->done.on_signal = &Server::wake_hook;
-      batch->done.on_signal_arg =
-          reinterpret_cast<void*>(static_cast<std::intptr_t>(wake_fd_));
-      kv::Request req;
-      req.op = kv::OpCode::kBatch;
-      req.done = &batch->done;
-      req.batch = batch->ops.data();
-      req.batch_len = static_cast<std::uint32_t>(batch->ops.size());
-      c.inflight += batch->ops.size();
-      if (c.inflight > c_max_inflight_.load(std::memory_order_relaxed))
-        c_max_inflight_.store(c.inflight, std::memory_order_relaxed);
-      c_batches_.fetch_add(1, std::memory_order_relaxed);
-      util::MetricsRegistry::add(metric_batches_);
-      c.pending.push_back(std::move(batch));
-      // A rejected submit (service stopping) still signals kShutdown on
-      // the Completion, so the harvest path answers it uniformly.
-      service_.submit(std::move(req));
-    }
+    while (!c.staged.empty() && c.inflight == 0 && !start_batch(c))
+      collect(c);  // ran inline: answer it and go on
     // Backpressure: a full in-flight window, or a staged backlog already
     // deep enough to refill it, stops reads until completions drain — the
     // client parks in its socket buffer instead of ballooning the server.
@@ -383,6 +343,79 @@ class Server {
       c.reading = false;
       rearm(c);
     }
+  }
+
+  /// Move up to the window's worth of staged ops into the connection's
+  /// batch — ONE kBatch request, the boundary Store::run_batch fuses per
+  /// same-shard run — and start it. At most one batch is in flight per
+  /// connection: the ring may serve different connections' batches on
+  /// different workers, but a single connection's pipeline must execute
+  /// in program order (a PUT followed by a DEL of the same key has
+  /// exactly one right answer), and ordering inside a batch plus
+  /// one-batch-at-a-time gives exactly that. A lone GET, PUT or DEL has
+  /// nothing to fuse with, so it runs here and has signalled on return
+  /// (true only when the batch went to the ring).
+  bool start_batch(Conn& c) {
+    const std::size_t take = c.staged.size() < opt_.max_inflight_ops
+                                 ? c.staged.size()
+                                 : opt_.max_inflight_ops;
+    NetBatch& b = c.batch;
+    b.ops.clear();
+    b.seqs.clear();
+    b.wire_ops.clear();
+    b.done.reset();
+    for (std::size_t i = 0; i < take; ++i) {
+      NetOp& in = c.staged.front();
+      kv::BatchOp op;
+      switch (in.op) {
+        case WireOp::kGet:
+          op.op = kv::OpCode::kGet;
+          break;
+        case WireOp::kPut:
+          op.op = kv::OpCode::kPut;
+          break;
+        case WireOp::kDel:
+          op.op = kv::OpCode::kDel;
+          break;
+        case WireOp::kScan:
+          op.op = kv::OpCode::kScan;
+          break;
+        case WireOp::kStats:
+          op.op = kv::OpCode::kStats;
+          break;
+      }
+      op.key = std::move(in.key);
+      op.value = std::move(in.value);
+      op.scan_limit = in.scan_limit;
+      b.seqs.push_back(in.seq);
+      b.wire_ops.push_back(in.op);
+      b.ops.push_back(std::move(op));
+      c.staged.pop_front();
+    }
+    kv::Request req;
+    req.op = kv::OpCode::kBatch;
+    req.done = &b.done;
+    req.batch = b.ops.data();
+    req.batch_len = static_cast<std::uint32_t>(take);
+    c.inflight = take;
+    if (c.inflight > c_max_inflight_.load(std::memory_order_relaxed))
+      c_max_inflight_.store(c.inflight, std::memory_order_relaxed);
+    c_batches_.fetch_add(1, std::memory_order_relaxed);
+    util::MetricsRegistry::add(metric_batches_);
+    // A rejected request (service stopping) still signals kShutdown on
+    // the Completion, so collect() answers it uniformly either way.
+    if (take == 1 && b.wire_ops[0] != WireOp::kScan &&
+        b.wire_ops[0] != WireOp::kStats) {
+      c_inline_batches_.fetch_add(1, std::memory_order_relaxed);
+      util::MetricsRegistry::add(metric_inline_);
+      service_.run_here(std::move(req));
+      return false;
+    }
+    b.done.on_signal = &Server::wake_hook;
+    b.done.on_signal_arg =
+        reinterpret_cast<void*>(static_cast<std::intptr_t>(wake_fd_));
+    service_.submit(std::move(req));
+    return true;
   }
 
   void harvest_all() {
@@ -397,74 +430,72 @@ class Server {
     }
   }
 
-  /// Encode every signalled batch at the head of the pending queue — the
-  /// queue is submission order, so responses leave strictly in request
-  /// order even when the ring serves batches on different workers.
-  /// Never closes the connection (callers check done_closing afterward,
-  /// outside any iteration over the connection map).
+  /// Answer the connection's batch if it has signalled, then start the
+  /// next one, resume reading, and flush. Never closes the connection
+  /// (callers check done_closing afterward, outside any iteration over
+  /// the connection map).
   void harvest(Conn& c) {
-    bool progressed = false;
-    while (!c.pending.empty() &&
-           c.pending.front()->done.state.load(std::memory_order_acquire) ==
-               1) {
-      NetBatch& b = *c.pending.front();
-      const kv::ResultCode rc = b.done.rc;
-      for (std::size_t i = 0; i < b.ops.size(); ++i) {
-        NetResponse r;
-        r.op = b.wire_ops[i];
-        r.seq = b.seqs[i];
-        if (rc == kv::ResultCode::kStopped) {
-          r.status = WireStatus::kStopped;
-        } else if (rc == kv::ResultCode::kShutdown) {
-          r.status = WireStatus::kShutdown;
-        } else {
-          kv::BatchOp& op = b.ops[i];
-          switch (r.op) {
-            case WireOp::kGet:
-              r.status =
-                  op.hit ? WireStatus::kOk : WireStatus::kNotFound;
-              if (op.hit) r.value = std::move(op.out);
-              break;
-            case WireOp::kPut:
-              r.status = WireStatus::kOk;
-              r.created = op.hit;
-              break;
-            case WireOp::kDel:
-              r.status =
-                  op.hit ? WireStatus::kOk : WireStatus::kNotFound;
-              break;
-            case WireOp::kScan:
-              r.status = WireStatus::kOk;
-              r.scan_count = op.scan_count;
-              break;
-            case WireOp::kStats:
-              r.status = WireStatus::kOk;
-              r.value = std::move(op.out);
-              break;
-          }
+    if (c.inflight == 0 ||
+        c.batch.done.state.load(std::memory_order_acquire) != 1)
+      return;
+    collect(c);
+    pump(c);
+    finish_reject(c);
+    // Window drained below the cap and the backlog refilled: resume
+    // reading once both are back under the throttle thresholds.
+    if (!c.closing && !c.reading && c.inflight < opt_.max_inflight_ops &&
+        c.staged.size() < opt_.max_inflight_ops) {
+      c.reading = true;
+      rearm(c);
+    }
+    flush(c);
+  }
+
+  /// Encode the signalled batch's responses, in op order — with one batch
+  /// in flight per connection, responses leave strictly in request order
+  /// even when the ring serves batches on different workers — and free
+  /// the batch for the next one.
+  void collect(Conn& c) {
+    NetBatch& b = c.batch;
+    const kv::ResultCode rc = b.done.rc;
+    for (std::size_t i = 0; i < b.ops.size(); ++i) {
+      NetResponse r;
+      r.op = b.wire_ops[i];
+      r.seq = b.seqs[i];
+      if (rc == kv::ResultCode::kStopped) {
+        r.status = WireStatus::kStopped;
+      } else if (rc == kv::ResultCode::kShutdown) {
+        r.status = WireStatus::kShutdown;
+      } else {
+        kv::BatchOp& op = b.ops[i];
+        switch (r.op) {
+          case WireOp::kGet:
+            r.status = op.hit ? WireStatus::kOk : WireStatus::kNotFound;
+            if (op.hit) r.value = std::move(op.out);
+            break;
+          case WireOp::kPut:
+            r.status = WireStatus::kOk;
+            r.created = op.hit;
+            break;
+          case WireOp::kDel:
+            r.status = op.hit ? WireStatus::kOk : WireStatus::kNotFound;
+            break;
+          case WireOp::kScan:
+            r.status = WireStatus::kOk;
+            r.scan_count = op.scan_count;
+            break;
+          case WireOp::kStats:
+            r.status = WireStatus::kOk;
+            r.value = std::move(op.out);
+            break;
         }
-        encode_response(c.outbuf, r);
       }
-      c.inflight -= b.ops.size();
-      c_fused_ops_.fetch_add(b.done.fused_ops, std::memory_order_relaxed);
-      c_batch_txs_.fetch_add(b.done.batch_txs, std::memory_order_relaxed);
-      util::MetricsRegistry::add(metric_fused_, b.done.fused_ops);
-      c.pending.pop_front();
-      progressed = true;
+      encode_response(c.outbuf, r);
     }
-    if (progressed) {
-      pump(c);
-      finish_reject(c);
-      // Window drained below the cap and the backlog refilled: resume
-      // reading once both are back under the throttle thresholds.
-      if (!c.closing && !c.reading &&
-          c.inflight < opt_.max_inflight_ops &&
-          c.staged.size() < opt_.max_inflight_ops) {
-        c.reading = true;
-        rearm(c);
-      }
-      flush(c);
-    }
+    c.inflight = 0;
+    c_fused_ops_.fetch_add(b.done.fused_ops, std::memory_order_relaxed);
+    c_batch_txs_.fetch_add(b.done.batch_txs, std::memory_order_relaxed);
+    util::MetricsRegistry::add(metric_fused_, b.done.fused_ops);
   }
 
   void flush(Conn& c) {
@@ -517,12 +548,11 @@ class Server {
     c_closed_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Wait out in-flight batches (workers are live, so each wait is one
+  /// Wait out the in-flight batch (workers are live, so the wait is one
   /// op-service long), then close the socket. The wait is what makes
   /// freeing the NetBatch — which the worker writes into — safe.
   void teardown(Conn& c) {
-    for (auto& batch : c.pending) batch->done.wait();
-    c.pending.clear();
+    if (c.inflight != 0) c.batch.done.wait();
     epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c.fd, nullptr);
     ::close(c.fd);
   }
@@ -540,10 +570,12 @@ class Server {
   int metric_bytes_in_ = -1;
   int metric_bytes_out_ = -1;
   int metric_batches_ = -1;
+  int metric_inline_ = -1;
   int metric_fused_ = -1;
   std::atomic<std::uint64_t> c_accepted_{0};
   std::atomic<std::uint64_t> c_closed_{0};
   std::atomic<std::uint64_t> c_batches_{0};
+  std::atomic<std::uint64_t> c_inline_batches_{0};
   std::atomic<std::uint64_t> c_fused_ops_{0};
   std::atomic<std::uint64_t> c_batch_txs_{0};
   std::atomic<std::uint64_t> c_bytes_in_{0};

@@ -177,12 +177,43 @@ TEST(KvService, LargeValuesRoundTripThroughTheRing) {
 
 // The submit-after-stop hazard, closed: once stop() has begun, submit()
 // fails fast — no push into a ring nobody drains — and the request's
-// Completion still signals, with the dedicated kShutdown code.
+// Completion still signals, with the dedicated kShutdown code. run_here()
+// passes the same gate: served on the caller's thread (and counted in
+// stats) before stop(), kShutdown without touching the store after.
 TEST(KvService, SubmitAfterStopFailsFastWithShutdown) {
   Store store;
   Service svc(store, 1, 3);
   svc.put("pre", "v", nullptr);
+  {
+    kv::Completion done;
+    kv::Request req;
+    req.op = kv::OpCode::kPut;
+    req.key = "here";
+    req.value = "h";
+    req.done = &done;
+    EXPECT_TRUE(svc.run_here(std::move(req)));
+    EXPECT_EQ(done.state.load(), 1u);  // signalled before returning
+    EXPECT_EQ(done.rc, kv::ResultCode::kOk);
+    EXPECT_TRUE(done.created);
+    EXPECT_EQ(svc.stats().puts, 2u);
+  }
   svc.stop();
+  {
+    kv::BatchOp op;
+    op.op = kv::OpCode::kDel;
+    op.key = "here";
+    kv::Completion done;
+    kv::Request req;
+    req.op = kv::OpCode::kBatch;
+    req.done = &done;
+    req.batch = &op;
+    req.batch_len = 1;
+    EXPECT_FALSE(svc.run_here(std::move(req)));
+    EXPECT_EQ(done.state.load(), 1u);
+    EXPECT_EQ(done.rc, kv::ResultCode::kShutdown);
+    EXPECT_FALSE(op.hit);  // never reached the store
+    EXPECT_EQ(store.size(), 2u);
+  }
   kv::Completion done;
   kv::Request req;
   req.op = kv::OpCode::kGet;
@@ -201,6 +232,8 @@ TEST(KvService, SubmitAfterStopFailsFastWithShutdown) {
 // Clients racing stop(): every synchronous call must return — served
 // (kOk/kNotFound), drained at shutdown (kStopped), or rejected at the
 // gate (kShutdown) — and nothing may deadlock against the drain loop.
+// Odd clients run their ops inline with run_here(), which is served or
+// rejected but never drained: stop() waits for an op past the gate.
 TEST(KvService, SubmittersRacingStopAlwaysComplete) {
   for (int round = 0; round < 20; ++round) {
     Store store;
@@ -213,8 +246,22 @@ TEST(KvService, SubmittersRacingStopAlwaysComplete) {
       clients.emplace_back([&, c] {
         go.wait(false);
         for (int i = 0; i < 50; ++i) {
-          const kv::ResultCode rc =
-              svc.put("r" + std::to_string(c), std::to_string(i), nullptr);
+          kv::ResultCode rc = kv::ResultCode::kOk;
+          if (c % 2 == 0) {
+            rc = svc.put("r" + std::to_string(c), std::to_string(i), nullptr);
+          } else {
+            kv::Completion done;
+            kv::Request req;
+            req.op = kv::OpCode::kPut;
+            req.key = "r" + std::to_string(c);
+            req.value = std::to_string(i);
+            req.done = &done;
+            const bool ran = svc.run_here(std::move(req));
+            ASSERT_EQ(done.state.load(), 1u);
+            rc = done.rc;
+            ASSERT_EQ(ran, rc != kv::ResultCode::kShutdown);
+            ASSERT_NE(rc, kv::ResultCode::kStopped);
+          }
           ASSERT_TRUE(rc == kv::ResultCode::kOk ||
                       rc == kv::ResultCode::kStopped ||
                       rc == kv::ResultCode::kShutdown);

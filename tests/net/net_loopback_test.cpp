@@ -91,16 +91,18 @@ TEST(NetLoopback, RoundTripEveryOpcode) {
 // Multi-connection pipelined mixed-op run against per-connection
 // std::map oracles (disjoint keyspaces make each oracle independent),
 // with the in-order-completion assertion: every response carries the
-// next expected seq for its connection, strictly increasing.
-TEST(NetLoopback, MultiConnectionPipelinedDifferentialOracle) {
+// next expected seq for its connection, strictly increasing. Depth 16
+// sends every batch through the ring to the workers; depth 1 runs every
+// batch inline on the loop thread.
+void run_pipelined_oracle(int pipeline) {
+  SCOPED_TRACE("pipeline depth " + std::to_string(pipeline));
   Store store(small_store());
   Service svc(store, 2);
   Server server(svc, Server::Options{});
   ASSERT_TRUE(server.ok());
 
   constexpr int kConns = 4;
-  constexpr int kRounds = 12;
-  constexpr int kPipeline = 16;
+  const int rounds = 192 / pipeline;
   std::vector<std::thread> clients;
   clients.reserve(kConns);
   for (int c = 0; c < kConns; ++c) {
@@ -111,7 +113,7 @@ TEST(NetLoopback, MultiConnectionPipelinedDifferentialOracle) {
       util::Xoshiro256 rng(0x1000 + static_cast<std::uint64_t>(c));
       const std::string prefix = "c" + std::to_string(c) + "-";
       std::uint32_t expect_seq = 0;
-      for (int round = 0; round < kRounds; ++round) {
+      for (int round = 0; round < rounds; ++round) {
         // Queue a pipeline of mixed ops and remember the model answers.
         struct Expected {
           net::WireOp op;
@@ -120,7 +122,7 @@ TEST(NetLoopback, MultiConnectionPipelinedDifferentialOracle) {
           std::string value;
         };
         std::vector<Expected> expect;
-        for (int i = 0; i < kPipeline; ++i) {
+        for (int i = 0; i < pipeline; ++i) {
           const std::string key =
               prefix + std::to_string(rng.next_below(32));
           const std::uint64_t kind = rng.next_below(4);
@@ -174,9 +176,19 @@ TEST(NetLoopback, MultiConnectionPipelinedDifferentialOracle) {
   for (std::thread& t : clients) t.join();
   const Server::Counters c = server.counters();
   EXPECT_GE(c.accepted, static_cast<std::uint64_t>(kConns));
-  EXPECT_GT(c.batches, 0u);
+  EXPECT_EQ(c.batches, static_cast<std::uint64_t>(kConns * rounds));
+  // One flush is one loopback segment, so each pipeline read is exactly
+  // one flush: a lone op always runs inline, a full pipeline never does.
+  EXPECT_EQ(c.inline_batches, pipeline == 1 ? c.batches : 0u);
+  EXPECT_EQ(svc.stats().gets + svc.stats().puts + svc.stats().dels,
+            static_cast<std::uint64_t>(kConns * rounds * pipeline));
   server.stop();
   svc.stop();
+}
+
+TEST(NetLoopback, MultiConnectionPipelinedDifferentialOracle) {
+  run_pipelined_oracle(16);
+  run_pipelined_oracle(1);
 }
 
 // Per-connection backpressure: a 64-op pipeline against a 4-op in-flight
@@ -287,11 +299,13 @@ TEST(NetLoopback, IdleConnectionTimesOut) {
   svc.stop();
 }
 
-// The serving-robustness story (ISSUE 10 acceptance): a client parked
-// mid-pipeline holds no reservation and no quiescence fence — workers
-// never block on a socket — so reclamation stays watchdog-clean and
-// precise while other clients churn updates (which free nodes), and the
-// final footprint is Gauge-exact.
+// The serving-robustness story: a client parked mid-pipeline holds no
+// reservation and no quiescence fence — workers never block on a socket,
+// and an inline op finishes before the loop touches another socket — so
+// reclamation stays watchdog-clean and precise while other clients churn
+// updates (which free nodes), and the final footprint is Gauge-exact.
+// The churn runs pipelined (ring to the workers) and then one op per
+// flush (every PUT/DEL commits on the loop thread).
 TEST(NetLoopback, StalledClientLeavesWatchdogCleanAndFootprintExact) {
   reclaim::Watchdog::reset_for_testing();
   const std::int64_t baseline = reclaim::Gauge::live();
@@ -329,6 +343,21 @@ TEST(NetLoopback, StalledClientLeavesWatchdogCleanAndFootprintExact) {
       ASSERT_GT(healthy.flush(), 0u);
       for (int i = 0; i < 32; ++i) ASSERT_TRUE(healthy.recv(r));
     }
+    const std::uint64_t inline_before = server.counters().inline_batches;
+    for (int round = 0; round < 8; ++round) {
+      for (int i = 0; i < 16; ++i) {
+        const std::string key = "churn" + std::to_string(i);
+        healthy.queue_put(key, "w" + std::to_string(round));
+        ASSERT_GT(healthy.flush(), 0u);
+        ASSERT_TRUE(healthy.recv(r));
+        EXPECT_TRUE(r.created);
+        healthy.queue_del(key);
+        ASSERT_GT(healthy.flush(), 0u);
+        ASSERT_TRUE(healthy.recv(r));
+        EXPECT_EQ(r.status, net::WireStatus::kOk);
+      }
+    }
+    EXPECT_EQ(server.counters().inline_batches - inline_before, 8u * 32u);
     const reclaim::Watchdog::Report report = reclaim::Watchdog::check(
         t0 + reclaim::Watchdog::threshold_ns() + 1);
     EXPECT_EQ(report.stalled_threads, 0);

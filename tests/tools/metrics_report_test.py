@@ -182,12 +182,15 @@ class RenderCliTest(unittest.TestCase):
     def test_net_counters_render_serving_tier_section(self):
         doc = snapshot()
         doc["counters"].update({"net.batches": 250, "net.fused_ops": 3985,
+                                "net.inline_batches": 12,
                                 "net.bytes_in": 292988,
                                 "net.bytes_out": 187515})
         proc = self.run_tool(doc)
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("## serving tier", proc.stdout)
         self.assertIn("batches: 250, fused ops: 3985 (15.94 per batch)",
+                      proc.stdout)
+        self.assertIn("inline batches: 12 (single-op, run on the event loop)",
                       proc.stdout)
         self.assertIn("wire: 292988 bytes in, 187515 bytes out",
                       proc.stdout)

@@ -87,9 +87,10 @@ def emit_heatmap(cells):
 
 
 def emit_net(counters):
-    """Serving-tier counters (PR 10): pipeline batches through the ring,
-    ops committed inside fused groups (with the per-batch fusion yield),
-    and raw wire traffic — registered by net::Server as net.* counters."""
+    """Serving-tier counters: pipeline batches (and how many of them ran
+    inline on the event loop instead of through the ring), ops committed
+    inside fused groups (with the per-batch fusion yield), and raw wire
+    traffic — registered by net::Server as net.* counters."""
     batches = counters.get("net.batches", 0)
     fused = counters.get("net.fused_ops", 0)
     if not batches and not fused:
@@ -97,6 +98,8 @@ def emit_net(counters):
     print("\n## serving tier")
     print(f"  batches: {batches}, fused ops: {fused} "
           f"({fused / max(batches, 1):.2f} per batch)")
+    print(f"  inline batches: {counters.get('net.inline_batches', 0)} "
+          f"(single-op, run on the event loop)")
     print(f"  wire: {counters.get('net.bytes_in', 0)} bytes in, "
           f"{counters.get('net.bytes_out', 0)} bytes out")
 
