@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -201,10 +202,13 @@ rr::Ref resume_scan_cursor(RR& rr, Tx& tx, rr::Ref raw_cache) {
 ///  - Deletes (and overwrites, which replace the node so values stay
 ///    immutable in place) unlink, revoke, and `tx.dealloc` the node in
 ///    one transaction: the store's footprint is exactly its occupancy.
-///  - A grow installs a double-size table and keeps the old one; every
-///    operation first migrates its key's old bucket (a window's worth of
-///    nodes per transaction, the insertion anchor handed over through
-///    the reservation), and optionally helps migrate one extra bucket.
+///  - A grow installs a double-size table and keeps the old one. An
+///    operation's own window transaction checks the key's old bucket;
+///    only when that bucket is unmigrated does the op migrate it (a
+///    window's worth of nodes per transaction, the insertion anchor
+///    handed over through the reservation) and restart its walk. An op
+///    that saw the resize also helps migrate one extra bucket, so on a
+///    settled shard every get/put/del is exactly one transaction.
 ///    The transaction that empties the last old bucket frees the old
 ///    table with `tx.dealloc` — precise, no epoch grace period.
 ///
@@ -256,84 +260,18 @@ class Store {
 
   /// Insert or overwrite; true if the key was newly inserted.
   bool put(std::string_view key, std::string_view value) {
-    util::trace_event(util::Ev::kKvOpStart,
-                      static_cast<std::uint64_t>(OpCode::kPut));
-    const std::uint64_t h = detail::hash_bytes(key);
-    Shard& sh = shard_of(h);
-    std::size_t chain_len = 0;
-    const bool inserted = with_chain(
-        sh, h, key, chain_len,
-        [&](Tx& tx, detail::Node** link, detail::Node* curr) {
-          // Overwrite replaces the node (values are immutable in place,
-          // so readers copying bytes never race an update) and frees the
-          // old one precisely, revoking any reservation parked on it.
-          rr::SiteScope site(tm::RevokeSite::kKvReplace);
-          detail::Node* fresh =
-              make_node(tx, h, key, value, tx.read(curr->next));
-          tx.write(*link, fresh);
-          reservation_.revoke(tx, curr);
-          tx.dealloc(curr);
-          return false;
-        },
-        [&](Tx& tx, detail::Node** link, detail::Node* curr) {
-          detail::Node* fresh = make_node(tx, h, key, value, curr);
-          tx.write(*link, fresh);
-          return true;
-        });
-    if (!inserted)  // replace: the old node was revoked out from under
-                    // any parked traversal — contention heat
-      ContentionMap::note(static_cast<std::uint32_t>(shard_index(h)),
-                          ContentionMap::cell_of(h, opt_.log2_shards),
-                          ContentionMap::kRevokeWeight);
-    if (inserted && chain_len >= static_cast<std::size_t>(opt_.grow_chain))
-      try_grow(sh);
-    after_op(sh, OpCode::kPut);
-    return inserted;
+    return put_hashed(detail::hash_bytes(key), key, value);
   }
 
   /// Copy the value out; false if the key is absent.
   bool get(std::string_view key, std::string& value_out) {
-    util::trace_event(util::Ev::kKvOpStart,
-                      static_cast<std::uint64_t>(OpCode::kGet));
-    const std::uint64_t h = detail::hash_bytes(key);
-    Shard& sh = shard_of(h);
-    std::size_t chain_len = 0;
-    const bool found = with_chain(
-        sh, h, key, chain_len,
-        [&](Tx&, detail::Node**, detail::Node* curr) {
-          const std::string_view v = curr->value();
-          value_out.assign(v.data(), v.size());
-          return true;
-        },
-        [](Tx&, detail::Node**, detail::Node*) { return false; });
-    after_op(sh, OpCode::kGet);
-    return found;
+    return get_hashed(detail::hash_bytes(key), key, value_out);
   }
 
   /// Unlink, revoke, and free the node in one transaction; false if the
   /// key is absent.
   bool del(std::string_view key) {
-    util::trace_event(util::Ev::kKvOpStart,
-                      static_cast<std::uint64_t>(OpCode::kDel));
-    const std::uint64_t h = detail::hash_bytes(key);
-    Shard& sh = shard_of(h);
-    std::size_t chain_len = 0;
-    const bool removed = with_chain(
-        sh, h, key, chain_len,
-        [&](Tx& tx, detail::Node** link, detail::Node* curr) {
-          rr::SiteScope site(tm::RevokeSite::kKvDelete);
-          tx.write(*link, tx.read(curr->next));
-          reservation_.revoke(tx, curr);
-          tx.dealloc(curr);
-          return true;
-        },
-        [](Tx&, detail::Node**, detail::Node*) { return false; });
-    if (removed)
-      ContentionMap::note(static_cast<std::uint32_t>(shard_index(h)),
-                          ContentionMap::cell_of(h, opt_.log2_shards),
-                          ContentionMap::kRevokeWeight);
-    after_op(sh, OpCode::kDel);
-    return removed;
+    return del_hashed(detail::hash_bytes(key), key);
   }
 
   /// Visit up to `limit` entries in canonical (hash, key) order — a
@@ -371,13 +309,21 @@ class Store {
   /// frees nodes, one quiescence fence — instead of k. Scans execute
   /// unfused via their own multi-window machinery; result fields are
   /// written into each BatchOp. Ops that cannot fuse (budget drained,
-  /// window overflow, racing grow, fusion disabled) fall back to the
+  /// window overflow, unmigrated bucket, fusion disabled) fall back to the
   /// ordinary one-op-per-window path, so semantics match issuing the
-  /// ops back to back.
+  /// ops back to back. Each key is hashed once, up front, and a batch of
+  /// two or more keyed ops first runs prefetch_batch, so its bucket-slot
+  /// and chain-head cache misses overlap instead of being paid one op at
+  /// a time.
   void run_batch(BatchOp* ops, std::size_t n, BatchCounters& bc) {
-    const auto keyed = [](OpCode op) {
-      return op == OpCode::kGet || op == OpCode::kPut || op == OpCode::kDel;
-    };
+    std::vector<std::uint64_t> hashes(n);
+    std::size_t keyed_ops = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!keyed(ops[k].op)) continue;
+      hashes[k] = detail::hash_bytes(ops[k].key);
+      ++keyed_ops;
+    }
+    if (keyed_ops >= 2) prefetch_batch(ops, hashes.data(), n);
     std::size_t i = 0;
     while (i < n) {
       BatchOp& op = ops[i];
@@ -392,14 +338,15 @@ class Store {
         ++i;
         continue;
       }
-      const std::size_t sh = shard_of_key(op.key);
+      const std::size_t sh = shard_index(hashes[i]);
       std::size_t j = i + 1;
-      while (j < n && keyed(ops[j].op) && shard_of_key(ops[j].key) == sh) ++j;
+      while (j < n && keyed(ops[j].op) && shard_index(hashes[j]) == sh) ++j;
       if (j - i == 1 || fusion_gate_ == nullptr) {
-        run_single(ops[i]);
+        run_single(ops[i], hashes[i]);
         ++i;
       } else {
-        i = run_fused_group(shards_[sh].value, sh, ops, i, j, bc);
+        i = run_fused_group(shards_[sh].value, sh, ops, hashes.data(), i, j,
+                            bc);
       }
     }
   }
@@ -608,16 +555,103 @@ class Store {
     return n;
   }
 
-  /// The HOH traversal engine shared by get/put/del: migrate the key's
-  /// bucket into the current table, then run Listing-5 windows over its
-  /// chain. `on_found(tx, link, curr)` runs with *link == curr and
-  /// curr matching the key; `on_not_found(tx, link, curr)` with curr the
-  /// first node after the key's position (or null), so an insert links
-  /// through `link`.
+  /// What a with_chain walk observed besides its result.
+  struct Walk {
+    std::size_t len = 0;    // nodes walked past by the committed attempts
+    bool resizing = false;  // some committed window saw an old table
+  };
+
+  /// Private keyed ops behind put/get/del and run_batch, taking the key's
+  /// hash from the caller so a batch hashes each key once.
+  bool put_hashed(std::uint64_t h, std::string_view key,
+                  std::string_view value) {
+    util::trace_event(util::Ev::kKvOpStart,
+                      static_cast<std::uint64_t>(OpCode::kPut));
+    Shard& sh = shard_of(h);
+    Walk walk;
+    const bool inserted = with_chain(
+        sh, h, key, walk,
+        [&](Tx& tx, detail::Node** link, detail::Node* curr) {
+          // Overwrite replaces the node (values are immutable in place,
+          // so readers copying bytes never race an update) and frees the
+          // old one precisely, revoking any reservation parked on it.
+          rr::SiteScope site(tm::RevokeSite::kKvReplace);
+          detail::Node* fresh =
+              make_node(tx, h, key, value, tx.read(curr->next));
+          tx.write(*link, fresh);
+          reservation_.revoke(tx, curr);
+          tx.dealloc(curr);
+          return false;
+        },
+        [&](Tx& tx, detail::Node** link, detail::Node* curr) {
+          detail::Node* fresh = make_node(tx, h, key, value, curr);
+          tx.write(*link, fresh);
+          return true;
+        });
+    if (!inserted)  // replace: the old node was revoked out from under
+                    // any parked traversal — contention heat
+      ContentionMap::note(static_cast<std::uint32_t>(shard_index(h)),
+                          ContentionMap::cell_of(h, opt_.log2_shards),
+                          ContentionMap::kRevokeWeight);
+    if (inserted && walk.len >= static_cast<std::size_t>(opt_.grow_chain) &&
+        try_grow(sh))
+      walk.resizing = true;
+    after_op(sh, OpCode::kPut, walk.resizing);
+    return inserted;
+  }
+
+  bool get_hashed(std::uint64_t h, std::string_view key,
+                  std::string& value_out) {
+    util::trace_event(util::Ev::kKvOpStart,
+                      static_cast<std::uint64_t>(OpCode::kGet));
+    Shard& sh = shard_of(h);
+    Walk walk;
+    const bool found = with_chain(
+        sh, h, key, walk,
+        [&](Tx&, detail::Node**, detail::Node* curr) {
+          const std::string_view v = curr->value();
+          value_out.assign(v.data(), v.size());
+          return true;
+        },
+        [](Tx&, detail::Node**, detail::Node*) { return false; });
+    after_op(sh, OpCode::kGet, walk.resizing);
+    return found;
+  }
+
+  bool del_hashed(std::uint64_t h, std::string_view key) {
+    util::trace_event(util::Ev::kKvOpStart,
+                      static_cast<std::uint64_t>(OpCode::kDel));
+    Shard& sh = shard_of(h);
+    Walk walk;
+    const bool removed = with_chain(
+        sh, h, key, walk,
+        [&](Tx& tx, detail::Node** link, detail::Node* curr) {
+          rr::SiteScope site(tm::RevokeSite::kKvDelete);
+          tx.write(*link, tx.read(curr->next));
+          reservation_.revoke(tx, curr);
+          tx.dealloc(curr);
+          return true;
+        },
+        [](Tx&, detail::Node**, detail::Node*) { return false; });
+    if (removed)
+      ContentionMap::note(static_cast<std::uint32_t>(shard_index(h)),
+                          ContentionMap::cell_of(h, opt_.log2_shards),
+                          ContentionMap::kRevokeWeight);
+    after_op(sh, OpCode::kDel, walk.resizing);
+    return removed;
+  }
+
+  /// The HOH traversal engine shared by get/put/del: Listing-5 windows
+  /// over the key's chain in the current table. On a settled shard the
+  /// op is exactly one transaction. Mid-resize, a window that finds the
+  /// key's old bucket unmigrated returns kMigrate; the op then migrates
+  /// that bucket and restarts its walk from the head. `on_found(tx, link,
+  /// curr)` runs with *link == curr and curr matching the key;
+  /// `on_not_found(tx, link, curr)` with curr the first node after the
+  /// key's position (or null), so an insert links through `link`.
   template <class FFound, class FNotFound>
   bool with_chain(Shard& sh, std::uint64_t h, std::string_view key,
-                  std::size_t& chain_len, FFound&& on_found,
-                  FNotFound&& on_not_found) {
+                  Walk& walk, FFound&& on_found, FNotFound&& on_not_found) {
     const ds::WindowPlan plan = fusion_gate_
                                     ? fusion_gate_->plan_op()
                                     : ds::WindowPlan{opt_.window, 0};
@@ -636,109 +670,139 @@ class Store {
     const std::uint32_t heat_cell =
         ContentionMap::cell_of(h, opt_.log2_shards);
     for (;;) {
-      migrate_for(sh, h);
-      for (;;) {
-        bool position_lost = false;
-        rr::Ref lost = nullptr;
-        std::size_t tx_seen = 0;
-        const Step step = TM::atomically([&](Tx& tx) -> Step {
-          fusion.on_attempt_start();
-          tx_seen = 0;
-          reservation_.register_thread(tx);
-          detail::Table* old = tx.read(sh.old);
-          if (old != nullptr &&
-              tx.read(old->slots()[detail::bucket_index(
-                  h, old->log2, opt_.log2_shards)]) != detail::moved_tag()) {
-            // A fresh grow undid our migration: the key's bucket in the
-            // (new) old table has nodes again. Restart the whole op.
-            reservation_.release(tx);
-            return Step::kMigrate;
-          }
-          detail::Table* cur = tx.read(sh.cur);
-          const std::size_t b =
-              detail::bucket_index(h, cur->log2, opt_.log2_shards);
-          detail::Node** link = &cur->slots()[b];
-          int used = 0;
-          if (handed_over) {
-            auto* parked = static_cast<detail::Node*>(
-                const_cast<void*>(boundary_.resume(tx)));
-            position_lost = parked == nullptr || cur->log2 != parked_log2;
-            // Capture the lost ref here, before this attempt can park a
-            // new node over parked_ref (attribution must name what was
-            // actually revoked, not a later boundary).
-            if (position_lost) lost = parked_ref;
-            if (!position_lost) link = &parked->next;
-          } else {
-            used = initial_scatter();
-          }
-          detail::Node* curr = tx.read(*link);
-          while (curr != nullptr &&
-                 detail::precedes(curr->hash, curr->key(), h, key)) {
-            if (used >= plan.window) {
-              if (!fusion.try_fuse()) break;
-              used = 0;  // boundary elided: a fresh window, same tx
-            }
-            link = &curr->next;
-            curr = tx.read(*link);
-            ++used;
-            ++tx_seen;
-          }
-          if (curr != nullptr && curr->hash == h && curr->key() == key) {
-            const bool result = on_found(tx, link, curr);
-            if (fail_hook_) fail_hook_();
-            reservation_.release(tx);
-            return result ? Step::kTrue : Step::kFalse;
-          }
-          if (curr == nullptr ||
-              !detail::precedes(curr->hash, curr->key(), h, key)) {
-            const bool result = on_not_found(tx, link, curr);
-            if (fail_hook_) fail_hook_();
-            reservation_.release(tx);
-            return result ? Step::kTrue : Step::kFalse;
-          }
-          // Window exhausted short of the key's position: hand over.
-          boundary_.park(tx, curr);
-          parked_ref = curr;
-          parked_log2 = cur->log2;
-          return Step::kHandover;
-        });
-        fusion.on_commit();
-        chain_len += tx_seen;
-        if (position_lost) {
-          ds::WindowBoundary<RR>::note_position_lost(lost);
-          ContentionMap::note(heat_shard, heat_cell,
-                              ContentionMap::kPositionLostWeight);
+      bool position_lost = false;
+      rr::Ref lost = nullptr;
+      std::size_t tx_seen = 0;
+      bool saw_old = false;
+      const Step step = TM::atomically([&](Tx& tx) -> Step {
+        fusion.on_attempt_start();
+        tx_seen = 0;
+        reservation_.register_thread(tx);
+        detail::Table* old = tx.read(sh.old);
+        saw_old = old != nullptr;
+        if (old != nullptr &&
+            tx.read(old->slots()[detail::bucket_index(
+                h, old->log2, opt_.log2_shards)]) != detail::moved_tag()) {
+          // The key's bucket still lives in the old table (a grow is in
+          // flight, possibly one that landed after an earlier window):
+          // migrate it, then restart the walk.
+          reservation_.release(tx);
+          return Step::kMigrate;
         }
-        if (step == Step::kTrue || step == Step::kFalse) {
-          ContentionMap::note(heat_shard, heat_cell,
-                              ContentionMap::kOpWeight);
-          return step == Step::kTrue;
+        detail::Table* cur = tx.read(sh.cur);
+        const std::size_t b =
+            detail::bucket_index(h, cur->log2, opt_.log2_shards);
+        detail::Node** link = &cur->slots()[b];
+        int used = 0;
+        if (handed_over) {
+          auto* parked = static_cast<detail::Node*>(
+              const_cast<void*>(boundary_.resume(tx)));
+          position_lost = parked == nullptr || cur->log2 != parked_log2;
+          // Capture the lost ref here, before this attempt can park a
+          // new node over parked_ref (attribution must name what was
+          // actually revoked, not a later boundary).
+          if (position_lost) lost = parked_ref;
+          if (!position_lost) link = &parked->next;
+        } else {
+          used = initial_scatter();
         }
-        if (step == Step::kMigrate) {
-          handed_over = false;
-          chain_len = 0;
-          break;
+        detail::Node* curr = tx.read(*link);
+        while (curr != nullptr &&
+               detail::precedes(curr->hash, curr->key(), h, key)) {
+          if (used >= plan.window) {
+            if (!fusion.try_fuse()) break;
+            used = 0;  // boundary elided: a fresh window, same tx
+          }
+          link = &curr->next;
+          curr = tx.read(*link);
+          ++used;
+          ++tx_seen;
         }
-        handed_over = true;  // Step::kHandover
+        if (curr != nullptr && curr->hash == h && curr->key() == key) {
+          const bool result = on_found(tx, link, curr);
+          if (fail_hook_) fail_hook_();
+          reservation_.release(tx);
+          return result ? Step::kTrue : Step::kFalse;
+        }
+        if (curr == nullptr ||
+            !detail::precedes(curr->hash, curr->key(), h, key)) {
+          const bool result = on_not_found(tx, link, curr);
+          if (fail_hook_) fail_hook_();
+          reservation_.release(tx);
+          return result ? Step::kTrue : Step::kFalse;
+        }
+        // Window exhausted short of the key's position: hand over.
+        boundary_.park(tx, curr);
+        parked_ref = curr;
+        parked_log2 = cur->log2;
+        return Step::kHandover;
+      });
+      fusion.on_commit();
+      walk.len += tx_seen;
+      walk.resizing = walk.resizing || saw_old;
+      if (position_lost) {
+        ds::WindowBoundary<RR>::note_position_lost(lost);
+        ContentionMap::note(heat_shard, heat_cell,
+                            ContentionMap::kPositionLostWeight);
       }
+      if (step == Step::kTrue || step == Step::kFalse) {
+        ContentionMap::note(heat_shard, heat_cell, ContentionMap::kOpWeight);
+        return step == Step::kTrue;
+      }
+      if (step == Step::kMigrate) {
+        migrate_for(sh, h);
+        handed_over = false;
+        walk.len = 0;
+        continue;
+      }
+      handed_over = true;  // Step::kHandover
     }
   }
 
+  static bool keyed(OpCode op) noexcept {
+    return op == OpCode::kGet || op == OpCode::kPut || op == OpCode::kDel;
+  }
+
   /// One batch op through the ordinary one-window-per-tx path.
-  void run_single(BatchOp& op) {
+  void run_single(BatchOp& op, std::uint64_t h) {
     switch (op.op) {
       case OpCode::kGet:
-        op.hit = get(op.key, op.out);
+        op.hit = get_hashed(h, op.key, op.out);
         break;
       case OpCode::kPut:
-        op.hit = put(op.key, op.value);
+        op.hit = put_hashed(h, op.key, op.value);
         break;
       case OpCode::kDel:
-        op.hit = del(op.key);
+        op.hit = del_hashed(h, op.key);
         break;
       default:
         break;
     }
+  }
+
+  /// Batch-wide memory-level parallelism: one read-only transaction that
+  /// reads each touched shard's current table once, prefetches every
+  /// keyed op's bucket slot, then reads the slots and prefetches every
+  /// chain head. The misses of a whole batch are then in flight together
+  /// before the window transactions walk the chains one op at a time.
+  /// Only hints: results come from those window transactions, and this
+  /// transaction keeps the tables it indexes from being freed under it.
+  void prefetch_batch(const BatchOp* ops, const std::uint64_t* hashes,
+                      std::size_t n) {
+    std::vector<detail::Table*> cur(shard_count_);
+    TM::atomically([&](Tx& tx) {
+      std::fill(cur.begin(), cur.end(), nullptr);
+      const auto slot = [&](std::size_t k) {
+        const std::size_t s = shard_index(hashes[k]);
+        if (cur[s] == nullptr) cur[s] = tx.read(shards_[s].value.cur);
+        return &cur[s]->slots()[detail::bucket_index(
+            hashes[k], cur[s]->log2, opt_.log2_shards)];
+      };
+      for (std::size_t k = 0; k < n; ++k)
+        if (keyed(ops[k].op)) __builtin_prefetch(slot(k));
+      for (std::size_t k = 0; k < n; ++k)
+        if (keyed(ops[k].op)) __builtin_prefetch(tx.read(*slot(k)));
+    });
   }
 
   /// Commit a run of consecutive same-shard keyed ops [begin, end) as
@@ -747,13 +811,15 @@ class Store {
   /// budget, exactly as if the per-op commit/begin boundary had been
   /// elided (ds::FusionState). Returns the index after the last op that
   /// executed; the caller re-dispatches the remainder (budget drained,
-  /// window overflow, or a grow that raced the migration prologue).
+  /// window overflow, or an unmigrated member bucket). A member whose
+  /// bucket still lives in the old table stops the group: the ops from
+  /// it on get their buckets migrated here, then go back to run_batch.
   /// Aborted attempts rerun the whole group from `begin`, so the local
   /// result slots are re-written per attempt and consumed only up to
   /// `done`.
   std::size_t run_fused_group(Shard& sh, std::size_t shard, BatchOp* ops,
-                              std::size_t begin, std::size_t end,
-                              BatchCounters& bc) {
+                              const std::uint64_t* hashes, std::size_t begin,
+                              std::size_t end, BatchCounters& bc) {
     const ds::WindowPlan plan = fusion_gate_->plan_op();
     ds::FusionState fusion(plan.fusion_budget);
     struct Feedback {
@@ -762,34 +828,33 @@ class Store {
         if (gate != nullptr) gate->observe();
       }
     } feedback{fusion_gate_.get()};
-    const std::size_t len = end - begin;
-    std::vector<std::uint64_t> hashes(len);
-    for (std::size_t k = 0; k < len; ++k)
-      hashes[k] = detail::hash_bytes(ops[begin + k].key);
-    // Migrate every member's old bucket up front so the common case
-    // commits without tripping the in-transaction check below.
-    for (std::size_t k = 0; k < len; ++k) migrate_for(sh, hashes[k]);
     struct OpResult {
       bool hit = false;
       bool inserted = false;
       std::size_t walked = 0;
       std::string out;
     };
-    std::vector<OpResult> res(len);
+    std::vector<OpResult> res(end - begin);
     std::size_t done = begin;
+    bool saw_old = false;
+    bool unmigrated = false;
     TM::atomically([&](Tx& tx) {
       fusion.on_attempt_start();
       done = begin;
+      unmigrated = false;
       reservation_.register_thread(tx);
       detail::Table* old = tx.read(sh.old);
       detail::Table* cur = tx.read(sh.cur);
+      saw_old = old != nullptr;
       int used = initial_scatter();
       for (std::size_t k = begin; k < end; ++k) {
-        const std::uint64_t h = hashes[k - begin];
+        const std::uint64_t h = hashes[k];
         if (old != nullptr &&
             tx.read(old->slots()[detail::bucket_index(
-                h, old->log2, opt_.log2_shards)]) != detail::moved_tag())
-          break;  // a grow raced the prologue: leave the rest to run_batch
+                h, old->log2, opt_.log2_shards)]) != detail::moved_tag()) {
+          unmigrated = true;
+          break;
+        }
         if (k > begin) {
           if (!fusion.try_fuse()) break;
           used = 0;  // the elided per-op boundary: a fresh window, same tx
@@ -860,14 +925,21 @@ class Store {
       reservation_.release(tx);
     });
     fusion.on_commit();
-    if (done == begin) {
-      // Nothing executed (budget drained on the head op's own chain, or
-      // its bucket needs migration): the normal path handles both.
-      run_single(ops[begin]);
+    if (unmigrated) {
+      // A grow is in flight: move every remaining member's old bucket
+      // now, so the re-dispatched ops fuse again on a migrated shard.
+      for (std::size_t k = done; k < end; ++k) migrate_for(sh, hashes[k]);
+    } else if (done == begin) {
+      // Budget drained on the head op's own chain: the normal path
+      // handles it.
+      run_single(ops[begin], hashes[begin]);
       return begin + 1;
     }
-    bc.batch_txs += 1;
-    if (done - begin >= 2) bc.fused_ops += done - begin;
+    if (done > begin) {
+      bc.batch_txs += 1;
+      if (done - begin >= 2) bc.fused_ops += done - begin;
+    }
+    bool resizing = saw_old;
     bool want_grow = false;
     for (std::size_t k = begin; k < done; ++k) {
       OpResult& r = res[k - begin];
@@ -877,7 +949,7 @@ class Store {
       util::trace_event(util::Ev::kKvOpStart,
                         static_cast<std::uint64_t>(o.op));
       const std::uint32_t cell =
-          ContentionMap::cell_of(hashes[k - begin], opt_.log2_shards);
+          ContentionMap::cell_of(hashes[k], opt_.log2_shards);
       ContentionMap::note(static_cast<std::uint32_t>(shard), cell,
                           ContentionMap::kOpWeight);
       const bool revoked = (o.op == OpCode::kPut && !r.hit) ||
@@ -891,8 +963,9 @@ class Store {
       util::trace_event(util::Ev::kKvOpDone,
                         static_cast<std::uint64_t>(o.op));
     }
-    if (want_grow) try_grow(sh);
-    after_op(sh, OpCode::kBatch);  // one helper window for the whole group
+    if (want_grow && try_grow(sh)) resizing = true;
+    // One helper window for the whole group, when it saw a resize.
+    after_op(sh, OpCode::kBatch, resizing);
     return done;
   }
 
@@ -1012,14 +1085,16 @@ class Store {
 
   /// Install a double-size table if the shard is settled and under the
   /// cap. The old table stays reachable; migration is incremental.
-  void try_grow(Shard& sh) {
+  /// Returns true when the shard is mid-resize afterwards (this call's
+  /// swap, or one that raced it).
+  bool try_grow(Shard& sh) {
     bool swapped = false;
     std::uint64_t new_log2 = 0;
-    TM::atomically([&](Tx& tx) {
+    const bool resizing = TM::atomically([&](Tx& tx) -> bool {
       swapped = false;
-      if (tx.read(sh.old) != nullptr) return;  // already resizing
+      if (tx.read(sh.old) != nullptr) return true;  // already resizing
       detail::Table* cur = tx.read(sh.cur);
-      if (cur->log2 >= opt_.max_log2_buckets) return;
+      if (cur->log2 >= opt_.max_log2_buckets) return false;
       const std::size_t buckets = std::size_t{2} << cur->log2;
       detail::Table* fresh = tx.template alloc_flex<detail::Table>(
           buckets * sizeof(detail::Node*), cur->log2 + 1);
@@ -1032,18 +1107,23 @@ class Store {
       tx.write(sh.old_left, static_cast<std::uint64_t>(cur->buckets()));
       swapped = true;
       new_log2 = cur->log2 + 1;
+      return true;
     });
     if (swapped) {
       tables_swapped_.fetch_add(1, std::memory_order_relaxed);
       util::trace_event(util::Ev::kKvTableSwap, new_log2);
     }
+    return resizing;
   }
 
-  /// Post-op bookkeeping: help migrate one extra bucket (round-robin
-  /// cursor) so resizes finish even when the workload never touches some
-  /// buckets, then trace the op completion.
-  void after_op(Shard& sh, OpCode op) {
-    if (opt_.auto_migrate) {
+  /// Post-op bookkeeping, then trace the op completion. An op that saw
+  /// its shard mid-resize helps migrate one extra bucket (round-robin
+  /// cursor), so resizes finish even when the workload never touches
+  /// some buckets: every op on that shard helps until the old table is
+  /// freed. An op on a settled shard skips the helper transaction and
+  /// the cursor's cache line.
+  void after_op(Shard& sh, OpCode op, bool resizing) {
+    if (resizing && opt_.auto_migrate) {
       const std::uint64_t idx =
           sh.hint.fetch_add(1, std::memory_order_relaxed);
       MigrationCursor cursor;

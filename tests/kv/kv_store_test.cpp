@@ -2,12 +2,14 @@
 // backend x reservation matrix on the basic API, reference-checked
 // random histories, incremental resize with precise old-table
 // reclamation (Gauge-exact, no sleeps), scans, and rollback of a
-// failing mutation. Concurrency cases are small and assertion-driven —
+// failing mutation, and exact transaction counts per op and per
+// pipelined batch. Concurrency cases are small and assertion-driven —
 // nothing here depends on timing (single-core CI box).
 #include "kv/store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -16,7 +18,9 @@
 #include <vector>
 
 #include "core/rr.hpp"
+#include "ds/window_tuner.hpp"
 #include "reclaim/gauge.hpp"
+#include "tm/config.hpp"
 #include "util/random.hpp"
 
 namespace hohtm {
@@ -266,6 +270,114 @@ TYPED_TEST(KvStoreTest, ConcurrentChurnSettlesPrecisely) {
               static_cast<long long>(store.size()) + tables + rr_nodes);
   }
   EXPECT_EQ(reclaim::Gauge::live(), baseline);
+}
+
+std::uint64_t total_commits() { return tm::Stats::total().commits; }
+
+TYPED_TEST(KvStoreTest, SettledOpsCommitExactlyOneTransaction) {
+  using S = typename TestFixture::Store;
+  typename S::Options opt;
+  opt.log2_buckets = 8;  // 1024 buckets for 32 keys: no insert nears a grow
+  S store(opt);
+  for (int i = 0; i < 32; ++i) store.put("settled" + std::to_string(i), "v");
+  store.finish_migration();
+  ASSERT_FALSE(store.migrating());
+  std::string value;
+  // One window transaction per op on a settled shard: no migration probe
+  // before the op and no helper window after it.
+  std::uint64_t before = total_commits();
+  ASSERT_TRUE(store.get("settled3", value));
+  EXPECT_EQ(total_commits() - before, 1u) << "get";
+  before = total_commits();
+  ASSERT_FALSE(store.put("settled3", "overwrite"));
+  EXPECT_EQ(total_commits() - before, 1u) << "overwrite put";
+  before = total_commits();
+  ASSERT_TRUE(store.put("fresh", "insert"));
+  EXPECT_EQ(total_commits() - before, 1u) << "insert put";
+  before = total_commits();
+  ASSERT_TRUE(store.del("fresh"));
+  EXPECT_EQ(total_commits() - before, 1u) << "del";
+  before = total_commits();
+  ASSERT_FALSE(store.get("absent", value));
+  EXPECT_EQ(total_commits() - before, 1u) << "get miss";
+  EXPECT_EQ(store.tables_swapped(), 0u);
+}
+
+TYPED_TEST(KvStoreTest, WarmedSameShardBatchCommitsTwoTransactions) {
+  using S = typename TestFixture::Store;
+  typename S::Options opt;
+  opt.log2_shards = 0;   // one shard: the whole batch is one fuseable run
+  opt.log2_buckets = 10;
+  opt.fusion_cap = 16;
+  S store(opt);
+  for (int i = 0; i < 64; ++i) store.put("b" + std::to_string(i), "v");
+  std::string value;
+  // Warm the fusion gate: a clean streak of single ops earns the budget.
+  for (int i = 0; i < 2 * ds::WindowTuner::kGrowStreak; ++i)
+    store.get("b" + std::to_string(i % 64), value);
+  std::vector<kv::BatchOp> ops(16);
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    kv::BatchOp& o = ops[k];
+    o.key = "b" + std::to_string(k);
+    o.op = k % 4 == 1 ? kv::OpCode::kPut
+                      : (k % 4 == 3 ? kv::OpCode::kDel : kv::OpCode::kGet);
+    o.value = "w" + std::to_string(k);
+  }
+  ops[14].key = "new-key";  // an insert, far below the grow threshold
+  ops[14].op = kv::OpCode::kPut;
+  kv::BatchCounters bc;
+  const std::uint64_t before = total_commits();
+  store.run_batch(ops.data(), ops.size(), bc);
+  // One read-only prefetch transaction plus one fused group.
+  EXPECT_EQ(total_commits() - before, 2u);
+  EXPECT_EQ(bc.batch_txs, 1u);
+  EXPECT_EQ(bc.fused_ops, 16u);
+  for (std::size_t k = 0; k < ops.size(); ++k) {
+    if (k == 14) {
+      EXPECT_TRUE(ops[k].hit) << "insert reported as overwrite";
+      continue;
+    }
+    if (ops[k].op == kv::OpCode::kPut) {
+      EXPECT_FALSE(ops[k].hit) << k;  // overwrite
+    } else {
+      EXPECT_TRUE(ops[k].hit) << k;
+    }
+    if (ops[k].op == kv::OpCode::kGet) {
+      EXPECT_EQ(ops[k].out, "v") << k;
+    }
+  }
+  EXPECT_TRUE(store.get("b1", value));
+  EXPECT_EQ(value, "w1");
+  EXPECT_FALSE(store.get("b3", value));
+  EXPECT_TRUE(store.get("new-key", value));
+  EXPECT_EQ(value, "w14");
+  EXPECT_TRUE(store.is_consistent());
+}
+
+TYPED_TEST(KvStoreTest, OpsAloneFinishAResize) {
+  using S = typename TestFixture::Store;
+  typename S::Options opt;
+  opt.log2_shards = 0;  // one shard, so one key's ops must finish it all
+  S store(opt);
+  int keys = 0;
+  while (store.tables_swapped() == 0) {
+    ASSERT_LT(keys, 10000) << "growth never triggered";
+    store.put("r" + std::to_string(keys++), "v");
+  }
+  ASSERT_TRUE(store.migrating());
+  // Only gets of one key: its own bucket migrates on the first, and the
+  // rest of the old table moves only because every op that sees the
+  // resize helps one more bucket. No finish_migration.
+  std::string value;
+  int ops = 0;
+  while (store.migrating()) {
+    ASSERT_LT(ops, 100000) << "ops alone never finished the resize";
+    ASSERT_TRUE(store.get("r0", value));
+    ++ops;
+  }
+  EXPECT_EQ(store.tables_retired(), store.tables_swapped());
+  EXPECT_TRUE(store.is_consistent());
+  EXPECT_EQ(store.size(), static_cast<std::size_t>(keys));
 }
 
 }  // namespace

@@ -16,6 +16,12 @@
 // exceptions (via the store's fail hook) that must roll back the whole
 // mutating attempt. The final Gauge check proves the script's deletes
 // and resizes freed precisely.
+//
+// A second, batch-shaped script drives Store::run_batch directly: seeded
+// batches of 1-16 mixed get/put/del ops over keys spanning every shard,
+// many of them issued while a grow is in flight, each op's result
+// checked against a std::map applied in batch order, ending
+// Gauge-exact.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -270,6 +276,126 @@ TEST(KvDifferential, SecondSeedSweep) {
   diff_against_oracle<hohtm::tm::Norec>(0xba5eba11ULL);
   diff_against_oracle<hohtm::tm::Tl2>(0xba5eba11ULL);
   diff_against_oracle<hohtm::tm::TlEager>(0xba5eba11ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Store::run_batch against a std::map applied in batch order.
+
+constexpr std::size_t kBatches = 1500;
+
+template <class TM>
+void run_batch_script(std::uint64_t seed) {
+  using Store = hohtm::kv::Store<TM, hohtm::rr::RrV<TM>>;
+  using hohtm::kv::BatchOp;
+  using hohtm::kv::OpCode;
+  const long long baseline = hohtm::reclaim::Gauge::live();
+  {
+    // Fusion on, small window and a low growth threshold: batches fuse,
+    // and the growing key population keeps pushing shards through
+    // resizes while batches run.
+    typename Store::Options opt;
+    opt.window = 4;
+    opt.grow_chain = 4;
+    opt.fusion_cap = 16;
+    Store store(opt);
+    std::map<std::string, std::string> ref;
+    hohtm::util::Xoshiro256 rng(seed);
+    std::set<std::size_t> shards_seen;
+    std::size_t mid_resize_batches = 0;
+    hohtm::kv::BatchCounters bc;
+    std::vector<BatchOp> ops;
+    for (std::size_t batch = 0; batch < kBatches; ++batch) {
+      // The key domain widens as the script runs, so inserts keep coming.
+      const std::uint64_t domain = 32 + 2 * batch;
+      ops.assign(1 + rng.next_below(16), BatchOp{});
+      for (std::size_t k = 0; k < ops.size(); ++k) {
+        BatchOp& o = ops[k];
+        o.key = "k" + std::to_string(rng.next_below(domain));
+        const int dice = static_cast<int>(rng.next_below(100));
+        o.op = dice < 45 ? OpCode::kPut
+                         : (dice < 75 ? OpCode::kGet : OpCode::kDel);
+        if (o.op == OpCode::kPut)
+          o.value = "v" + std::to_string(batch) + "." + std::to_string(k);
+        shards_seen.insert(store.shard_of_key(o.key));
+      }
+      if (store.migrating()) ++mid_resize_batches;
+      store.run_batch(ops.data(), ops.size(), bc);
+      for (std::size_t k = 0; k < ops.size(); ++k) {
+        const BatchOp& o = ops[k];
+        const auto it = ref.find(o.key);
+        const bool present = it != ref.end();
+        switch (o.op) {
+          case OpCode::kPut:
+            ASSERT_EQ(o.hit, !present) << TM::name() << " batch " << batch
+                                       << " op " << k << " (seed " << seed
+                                       << ")";
+            ref[o.key] = o.value;
+            break;
+          case OpCode::kGet:
+            ASSERT_EQ(o.hit, present) << TM::name() << " batch " << batch
+                                      << " op " << k << " (seed " << seed
+                                      << ")";
+            if (present) {
+              ASSERT_EQ(o.out, it->second)
+                  << TM::name() << " batch " << batch << " op " << k;
+            }
+            break;
+          default:  // kDel
+            ASSERT_EQ(o.hit, present) << TM::name() << " batch " << batch
+                                      << " op " << k << " (seed " << seed
+                                      << ")";
+            ref.erase(o.key);
+            break;
+        }
+      }
+    }
+    EXPECT_EQ(shards_seen.size(), store.shard_count()) << TM::name();
+    EXPECT_GT(mid_resize_batches, 0u)
+        << TM::name() << ": no batch ran while a grow was in flight";
+    EXPECT_GT(bc.fused_ops, 0u) << TM::name() << ": nothing fused";
+    EXPECT_GE(store.tables_swapped(), 1u) << TM::name();
+
+    store.finish_migration();
+    EXPECT_FALSE(store.migrating()) << TM::name();
+    EXPECT_EQ(store.tables_retired(), store.tables_swapped()) << TM::name();
+    EXPECT_TRUE(store.is_consistent()) << TM::name();
+    EXPECT_EQ(store.size(), ref.size()) << TM::name();
+    std::set<std::pair<std::string, std::string>> dumped;
+    store.scan(ref.size() + 10,
+               [&dumped](const std::string& k, const std::string& v) {
+                 dumped.emplace(k, v);
+               });
+    EXPECT_EQ(dumped, (std::set<std::pair<std::string, std::string>>(
+                          ref.begin(), ref.end())))
+        << TM::name();
+    EXPECT_EQ(hohtm::reclaim::Gauge::live() - baseline,
+              static_cast<long long>(store.size() + store.shard_count() +
+                                     store.reservation_overhead()))
+        << TM::name() << " (seed " << seed << ")";
+  }
+  EXPECT_EQ(hohtm::reclaim::Gauge::live(), baseline)
+      << TM::name() << " (seed " << seed << ")";
+}
+
+TEST(KvBatchDifferential, GlockMatchesMap) {
+  run_batch_script<hohtm::tm::GLock>(0xba7c4edULL);
+}
+
+TEST(KvBatchDifferential, TmlMatchesMap) {
+  run_batch_script<hohtm::tm::Tml>(0xba7c4edULL);
+}
+
+TEST(KvBatchDifferential, NorecMatchesMap) {
+  run_batch_script<hohtm::tm::Norec>(0xba7c4edULL);
+  run_batch_script<hohtm::tm::Norec>(0x5eed0b17ULL);
+}
+
+TEST(KvBatchDifferential, Tl2MatchesMap) {
+  run_batch_script<hohtm::tm::Tl2>(0xba7c4edULL);
+}
+
+TEST(KvBatchDifferential, TlEagerMatchesMap) {
+  run_batch_script<hohtm::tm::TlEager>(0xba7c4edULL);
 }
 
 }  // namespace

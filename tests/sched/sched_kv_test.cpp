@@ -15,7 +15,7 @@
 //
 //  2. The real Store mid-resize: one shard, one old bucket, window = 1,
 //     a migrator driving single-node migration windows against a delete
-//     whose own migrate-before-op races it. Every interleaving must end
+//     whose walk finds its bucket unmigrated and migrates it, racing. Every interleaving must end
 //     settled, consistent, and with the old table retired precisely.
 //
 // Backend is TML throughout: its conflict detection is address-
@@ -195,9 +195,10 @@ Scenario migration_scenario() {
         while (!StoreState::store->migrate_bucket_window_for("m0")) {
         }
       },
-      // Deleter: del("m1") first helps migrate its own bucket (the same
-      // one — there is only one), so its windows interleave with the
-      // migrator's before the unlink-and-dealloc transaction runs.
+      // Deleter: del("m1")'s first window finds its bucket (the same
+      // one — there is only one) unmigrated, so it migrates it, and its
+      // windows interleave with the migrator's before the
+      // unlink-and-dealloc transaction runs.
       [] { StoreState::store->del("m1"); },
   };
   s.check = [] {
