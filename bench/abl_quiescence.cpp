@@ -53,6 +53,9 @@ void backlog_comparison() {
 
   std::printf("# ablA3 backlog: live objects after churn (logical size %ld)\n",
               kRange / 2);
+  // Six-column rows, the live-object backlog in the mops column: name
+  // them, since the throughput rows above carry the full cell header.
+  std::printf("# columns: figure,panel,series,threads,mops,cv_pct\n");
   {
     ds::SllHoh<TM, rr::RrV<TM>> list(8);
     hohtm::util::Xoshiro256 rng(11);

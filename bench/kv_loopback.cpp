@@ -7,8 +7,10 @@
 // whose consecutive same-shard ops share a single fused window
 // transaction.
 //
-// Rows use the 36-column net layout (emit_net_row): the 32 kv columns
-// plus net_batches,net_fused_ops,net_bytes_in,net_bytes_out. The
+// Rows carry the standard cell columns, the KV columns
+// (kv::add_kv_columns) and net_batches,net_fused_ops,net_bytes_in,
+// net_bytes_out. Throughput and every per-op ratio count only the ops
+// whose responses came back. The
 // telling ratio is commits/op and quiescence_waits/op versus pipeline
 // depth: depth 16 should pay ~1 commit and ~1 reclamation fence where
 // depth 1 pays 16 of each.
@@ -18,18 +20,18 @@
 // strictly fewer commits per op AND strictly fewer quiescence waits per
 // op with nonzero fused ops, unless depth 1 pays at most one commit per
 // op (the frozen shard never resizes, so each op is exactly its own
-// window transaction), and unless every depth-1 batch ran inline on
-// the event loop and no depth-16 batch did; then it runs the
+// window transaction), unless every depth-1 batch ran inline on the
+// event loop and no depth-16 batch did, and unless every connection
+// completed every op it was asked for; then it runs the
 // stalled-client scenario: a connection parked mid-pipeline while
 // other clients churn node-freeing updates must leave the reclamation
 // watchdog with zero alerts and the final footprint Gauge-exact.
-#include <atomic>
-#include <chrono>
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/rr.hpp"
@@ -40,7 +42,6 @@
 #include "net/server.hpp"
 #include "reclaim/gauge.hpp"
 #include "reclaim/watchdog.hpp"
-#include "util/barrier.hpp"
 #include "util/random.hpp"
 #include "util/zipfian.hpp"
 
@@ -52,6 +53,7 @@ using Store = hohtm::kv::Store<TM, RR>;
 using Service = hohtm::kv::Service<TM, RR>;
 using Server = hohtm::net::Server<TM, RR>;
 using hohtm::harness::BenchEnv;
+using hohtm::harness::CellResult;
 using hohtm::kv::Mix;
 namespace kv = hohtm::kv;
 namespace net = hohtm::net;
@@ -65,14 +67,6 @@ struct NetCellConfig {
   int trials = 2;
   int workers = 2;              // kv::Service worker threads
   bool frozen_single_shard = false;  // smoke: maximize fusion opportunity
-};
-
-struct NetCellResult {
-  hohtm::harness::CellResult base;
-  hohtm::harness::KvRowExtra kv;
-  hohtm::harness::NetRowExtra net;
-  std::uint64_t inline_batches = 0;  // of net.batches, run on the loop
-  std::uint64_t total_ops = 0;
 };
 
 std::unique_ptr<Store> make_store(const NetCellConfig& cfg) {
@@ -89,23 +83,30 @@ std::unique_ptr<Store> make_store(const NetCellConfig& cfg) {
   return std::make_unique<Store>(opt);
 }
 
+/// What one client connection saw: responses received (its completed
+/// ops), split into hits (kOk) and misses.
+struct ClientTally {
+  std::uint64_t done = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+
 /// One client connection's worth of the given mix: queue `pipeline` ops,
-/// flush, drain the responses, repeat. Returns {hits, misses} seen.
-void run_client(const NetCellConfig& cfg, std::uint16_t port, int conn_id,
-                int trial, std::uint64_t* hits_out,
-                std::uint64_t* misses_out) {
+/// flush, drain the responses, repeat. Stops early on a failed connect,
+/// flush or receive, so `done` may fall short of `ops_per_conn`.
+ClientTally run_client(const NetCellConfig& cfg, std::uint16_t port,
+                       int conn_id, int trial) {
+  ClientTally tally;
   net::Client client;
-  if (!client.connect(port)) return;
+  if (!client.connect(port)) return tally;
   hohtm::util::Zipfian zipf(
       cfg.records, 0.99,
       0x9e3779b9ULL * static_cast<std::uint64_t>(conn_id + 1) + trial);
   hohtm::util::Xoshiro256 rng(0xc0ffee00ULL + conn_id * 131 + trial);
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
   std::uint64_t inserted = 0;
   const std::uint64_t insert_base =
       cfg.records + static_cast<std::uint64_t>(conn_id) * cfg.ops_per_conn;
-  std::uint64_t done = 0;
+  std::uint64_t& done = tally.done;
   while (done < cfg.ops_per_conn) {
     const std::uint64_t batch =
         std::min<std::uint64_t>(cfg.pipeline, cfg.ops_per_conn - done);
@@ -154,40 +155,35 @@ void run_client(const NetCellConfig& cfg, std::uint16_t port, int conn_id,
       }
     }
     if (client.flush() == 0) break;
-    bool dead = false;
-    for (std::uint64_t i = 0; i < batch; ++i) {
+    const std::uint64_t target = done + batch;
+    for (; done < target; ++done) {
       net::NetResponse r;
-      if (!client.recv(r)) {
-        dead = true;
-        break;
-      }
+      if (!client.recv(r)) break;
       if (r.status == net::WireStatus::kOk)
-        ++hits;
+        ++tally.hits;
       else
-        ++misses;
+        ++tally.misses;
     }
-    if (dead) break;
-    done += batch;
+    if (done < target) break;
   }
   client.close();
-  *hits_out = hits;
-  *misses_out = misses;
+  return tally;
 }
 
-NetCellResult run_net_cell(const NetCellConfig& cfg) {
-  NetCellResult cell;
-  std::vector<double> mops_samples;
+/// One loopback cell: per trial, a fresh prefilled store behind a
+/// Service and a Server, and `connections` clients under
+/// harness::run_timed. `inline_batches`, when given, accumulates the
+/// batches the event loop ran inline (a subset of net_batches).
+CellResult run_net_cell(const NetCellConfig& cfg,
+                        std::uint64_t* inline_batches = nullptr) {
+  CellResult cell;
   for (int trial = 0; trial < cfg.trials; ++trial) {
     const long long live_baseline = hohtm::reclaim::Gauge::live();
     auto store = make_store(cfg);
     for (std::size_t r = 0; r < cfg.records; ++r)
       store->put(kv::make_key(r), kv::make_value(r, 0));
     store->finish_migration();
-    const std::uint64_t migrate_baseline = store->migrated_buckets();
-    const std::uint64_t resize_baseline = store->tables_swapped();
-    const std::uint64_t scan_baseline = store->scans();
-    const std::uint64_t scan_window_baseline = store->scan_windows();
-    const std::uint64_t scan_resume_baseline = store->scan_resumes();
+    const std::array<std::uint64_t, 5> before = kv::store_counts(*store);
     // Reset telemetry before the service spins up its workers: the cell
     // then measures exactly the socket-driven phase.
     hohtm::tm::Stats::reset();
@@ -199,55 +195,30 @@ NetCellResult run_net_cell(const NetCellConfig& cfg) {
       std::exit(1);
     }
 
-    std::vector<std::uint64_t> hits(cfg.connections, 0);
-    std::vector<std::uint64_t> misses(cfg.connections, 0);
-    hohtm::util::SpinBarrier barrier(
-        static_cast<std::size_t>(cfg.connections) + 1);
-    std::vector<std::thread> clients;
-    clients.reserve(static_cast<std::size_t>(cfg.connections));
-    for (int c = 0; c < cfg.connections; ++c) {
-      clients.emplace_back([&, c, trial] {
-        barrier.arrive_and_wait();
-        run_client(cfg, server.port(), c, trial, &hits[c], &misses[c]);
-        barrier.arrive_and_wait();
-      });
-    }
-    barrier.arrive_and_wait();
-    const auto start = std::chrono::steady_clock::now();
-    barrier.arrive_and_wait();
-    const auto stop = std::chrono::steady_clock::now();
-    for (auto& th : clients) th.join();
+    std::vector<ClientTally> tallies(static_cast<std::size_t>(cfg.connections));
+    const hohtm::harness::TimedRun run =
+        hohtm::harness::run_timed(cfg.connections, 0, [&](int c) {
+          tallies[static_cast<std::size_t>(c)] =
+              run_client(cfg, server.port(), c, trial);
+        });
     server.stop();
     svc.stop();
 
-    const double seconds = std::chrono::duration<double>(stop - start).count();
-    const double total_ops =
-        static_cast<double>(cfg.ops_per_conn) * cfg.connections;
-    mops_samples.push_back(total_ops / seconds / 1e6);
-    cell.total_ops +=
-        cfg.ops_per_conn * static_cast<std::uint64_t>(cfg.connections);
-    cell.base.counters.accumulate(hohtm::tm::Stats::total());
-    cell.base.latency.merge(hohtm::util::Metrics::total());
-    for (int c = 0; c < cfg.connections; ++c) {
-      cell.kv.hits += hits[static_cast<std::size_t>(c)];
-      cell.kv.misses += misses[static_cast<std::size_t>(c)];
+    ClientTally sum;
+    for (const ClientTally& t : tallies) {
+      sum.done += t.done;
+      sum.hits += t.hits;
+      sum.misses += t.misses;
     }
-    cell.kv.migrations += store->migrated_buckets() - migrate_baseline;
-    cell.kv.resizes += store->tables_swapped() - resize_baseline;
-    cell.kv.scans += store->scans() - scan_baseline;
-    cell.kv.scan_windows += store->scan_windows() - scan_window_baseline;
-    cell.kv.scan_resumes += store->scan_resumes() - scan_resume_baseline;
+    kv::add_kv_columns(cell, sum.hits, sum.misses, *store, before);
     const Server::Counters sc = server.counters();
-    cell.net.batches += sc.batches;
-    cell.inline_batches += sc.inline_batches;
-    cell.net.fused_ops += sc.fused_ops;
-    cell.net.bytes_in += sc.bytes_in;
-    cell.net.bytes_out += sc.bytes_out;
-
-    const long long end_live = hohtm::reclaim::Gauge::live() - live_baseline;
-    if (end_live > cell.base.live_peak) cell.base.live_peak = end_live;
+    cell.add("net_batches", sc.batches);
+    cell.add("net_fused_ops", sc.fused_ops);
+    cell.add("net_bytes_in", sc.bytes_in);
+    cell.add("net_bytes_out", sc.bytes_out);
+    if (inline_batches != nullptr) *inline_batches += sc.inline_batches;
+    cell.add_trial(run, sum.done, live_baseline);
   }
-  cell.base.mops = hohtm::util::summarize(mops_samples);
   return cell;
 }
 
@@ -263,9 +234,8 @@ void run_panel(const BenchEnv& env, Mix mix) {
       cfg.ops_per_conn = env.ops_per_thread;
       cfg.pipeline = depth;
       cfg.trials = env.trials;
-      const NetCellResult cell = run_net_cell(cfg);
-      hohtm::harness::emit_net_row("net", panel, series, conns, cell.base,
-                                   cell.kv, cell.net);
+      hohtm::harness::emit_row("net", panel, series, conns,
+                               run_net_cell(cfg));
     }
   }
 }
@@ -290,40 +260,57 @@ int run_fusion_gate() {
   cfg.frozen_single_shard = true;
 
   cfg.pipeline = 1;
-  const NetCellResult d1 = run_net_cell(cfg);
-  hohtm::harness::emit_net_row("net", "smoke-A", "depth-1", 1, d1.base,
-                               d1.kv, d1.net);
+  std::uint64_t inline1 = 0;
+  const CellResult d1 = run_net_cell(cfg, &inline1);
+  hohtm::harness::emit_row("net", "smoke-A", "depth-1", 1, d1);
   cfg.pipeline = 16;
-  const NetCellResult d16 = run_net_cell(cfg);
-  hohtm::harness::emit_net_row("net", "smoke-A", "depth-16", 1, d16.base,
-                               d16.kv, d16.net);
+  std::uint64_t inline16 = 0;
+  const CellResult d16 = run_net_cell(cfg, &inline16);
+  hohtm::harness::emit_row("net", "smoke-A", "depth-16", 1, d16);
 
-  const double ops1 = static_cast<double>(d1.total_ops);
-  const double ops16 = static_cast<double>(d16.total_ops);
-  const double commits1 = static_cast<double>(d1.base.counters.commits) / ops1;
-  const double commits16 =
-      static_cast<double>(d16.base.counters.commits) / ops16;
+  // Each connection completes at most what it was asked for, so a cell
+  // total below the asked total means some connection fell short.
+  const std::uint64_t asked = cfg.ops_per_conn *
+                              static_cast<std::uint64_t>(cfg.connections) *
+                              static_cast<std::uint64_t>(cfg.trials);
+  if (d1.ops != asked || d16.ops != asked) {
+    std::fprintf(stderr,
+                 "net smoke: a connection completed fewer ops than asked "
+                 "(depth 1: %llu of %llu; depth 16: %llu of %llu)\n",
+                 static_cast<unsigned long long>(d1.ops),
+                 static_cast<unsigned long long>(asked),
+                 static_cast<unsigned long long>(d16.ops),
+                 static_cast<unsigned long long>(asked));
+    return 1;
+  }
+  const double ops1 = static_cast<double>(d1.ops);
+  const double ops16 = static_cast<double>(d16.ops);
+  const double commits1 = static_cast<double>(d1.counters.commits) / ops1;
+  const double commits16 = static_cast<double>(d16.counters.commits) / ops16;
   const double qwaits1 =
-      static_cast<double>(d1.base.counters.quiescence_waits) / ops1;
+      static_cast<double>(d1.counters.quiescence_waits) / ops1;
   const double qwaits16 =
-      static_cast<double>(d16.base.counters.quiescence_waits) / ops16;
-  if (d1.base.mops.mean <= 0.0 || d16.base.mops.mean <= 0.0) {
+      static_cast<double>(d16.counters.quiescence_waits) / ops16;
+  if (d1.mops.mean <= 0.0 || d16.mops.mean <= 0.0) {
     std::fprintf(stderr, "net smoke: zero throughput\n");
     return 1;
   }
-  if (d16.net.fused_ops == 0) {
+  const std::uint64_t fused16 = d16.column("net_fused_ops");
+  const std::uint64_t batches1 = d1.column("net_batches");
+  const std::uint64_t batches16 = d16.column("net_batches");
+  if (fused16 == 0) {
     std::fprintf(stderr,
                  "net smoke: depth-16 pipeline recorded no fused ops\n");
     return 1;
   }
-  if (d1.inline_batches != d1.net.batches || d16.inline_batches != 0) {
+  if (inline1 != batches1 || inline16 != 0) {
     std::fprintf(stderr,
                  "net smoke: inline rule broken (depth 1: %llu of %llu "
                  "batches inline; depth 16: %llu of %llu)\n",
-                 static_cast<unsigned long long>(d1.inline_batches),
-                 static_cast<unsigned long long>(d1.net.batches),
-                 static_cast<unsigned long long>(d16.inline_batches),
-                 static_cast<unsigned long long>(d16.net.batches));
+                 static_cast<unsigned long long>(inline1),
+                 static_cast<unsigned long long>(batches1),
+                 static_cast<unsigned long long>(inline16),
+                 static_cast<unsigned long long>(batches16));
     return 1;
   }
   if (commits1 > kMaxDepth1Commits) {
@@ -351,9 +338,9 @@ int run_fusion_gate() {
       "# net smoke ok: commits/op %.3f -> %.3f, qwaits/op %.4f -> %.4f, "
       "%llu ops fused across %llu batches, %llu depth-1 batches inline\n",
       commits1, commits16, qwaits1, qwaits16,
-      static_cast<unsigned long long>(d16.net.fused_ops),
-      static_cast<unsigned long long>(d16.net.batches),
-      static_cast<unsigned long long>(d1.inline_batches));
+      static_cast<unsigned long long>(fused16),
+      static_cast<unsigned long long>(batches16),
+      static_cast<unsigned long long>(inline1));
   return 0;
 }
 
@@ -445,7 +432,7 @@ int run_stalled_client_gate() {
 }
 
 int run_smoke() {
-  hohtm::harness::emit_net_header(
+  hohtm::harness::emit_header(
       "net", "smoke: loopback YCSB-A, depth 1 vs 16, frozen single shard");
   if (int rc = run_fusion_gate(); rc != 0) return rc;
   return run_stalled_client_gate();
@@ -465,7 +452,7 @@ int main(int argc, char** argv) {
   }
   if (smoke) return run_smoke();
   const BenchEnv env = BenchEnv::from_environment();
-  hohtm::harness::emit_net_header(
+  hohtm::harness::emit_header(
       "net",
       "loopback serving tier: 2048 records, zipfian(0.99); panels = YCSB "
       "A/B/C/D/E over real sockets; series = client pipeline depth");

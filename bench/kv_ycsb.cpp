@@ -4,9 +4,9 @@
 // (RrNull, unbounded window) against representative reservation
 // algorithms. --workload=X restricts the run to one mix.
 //
-// Rows use the 32-column KV layout (emit_kv_row): the standard cell
-// columns plus kv_hits,kv_misses,kv_migrations,kv_resizes and the scan
-// triple kv_scans,kv_scan_windows,kv_scan_resumes, so the resize
+// Rows carry the standard cell columns plus the KV columns
+// (kv::add_kv_columns): kv_hits,kv_misses,kv_migrations,kv_resizes and
+// the scan triple kv_scans,kv_scan_windows,kv_scan_resumes, so the resize
 // traffic the D mix generates and the cursor handovers the E mix
 // exercises are attributable per series.
 //
@@ -40,7 +40,7 @@
 namespace {
 
 using hohtm::harness::BenchEnv;
-using hohtm::kv::KvCellResult;
+using hohtm::harness::CellResult;
 using hohtm::kv::KvWorkloadConfig;
 using hohtm::kv::Mix;
 using TM = hohtm::tm::Norec;
@@ -56,13 +56,6 @@ std::unique_ptr<kv::Store<TM, RR>> make_store(int window,
   return std::make_unique<kv::Store<TM, RR>>(opt);
 }
 
-hohtm::harness::KvRowExtra extra(const KvCellResult& cell) {
-  return hohtm::harness::KvRowExtra{cell.hits,       cell.misses,
-                                    cell.migrations, cell.resizes,
-                                    cell.scans,      cell.scan_windows,
-                                    cell.scan_resumes};
-}
-
 template <class RR>
 void series(const std::string& panel, const char* name,
             KvWorkloadConfig config, const BenchEnv& env, int window,
@@ -72,10 +65,9 @@ void series(const std::string& panel, const char* name,
     config.ops_per_thread = env.ops_per_thread;
     config.trials = env.trials;
     config.footprint_ms = env.footprint_ms;
-    const KvCellResult cell = hohtm::kv::run_kv_cell(
+    const CellResult cell = hohtm::kv::run_kv_cell(
         config, [&] { return make_store<RR>(window, fusion_cap); });
-    hohtm::harness::emit_kv_row("kv", panel, name, threads, cell.base,
-                                extra(cell));
+    hohtm::harness::emit_row("kv", panel, name, threads, cell);
   }
 }
 
@@ -120,16 +112,14 @@ int run_fusion_smoke() {
     opt.fusion_cap = fusion_cap;
     return std::make_unique<kv::Store<TM, rr::RrV<TM>>>(opt);
   };
-  const KvCellResult unfused = hohtm::kv::run_kv_cell(
+  const CellResult unfused = hohtm::kv::run_kv_cell(
       config, [&] { return frozen_store(0); });
-  hohtm::harness::emit_kv_row("kv", "fusion-smoke", "RR-V", 1,
-                              unfused.base, extra(unfused));
-  const KvCellResult fused = hohtm::kv::run_kv_cell(
+  hohtm::harness::emit_row("kv", "fusion-smoke", "RR-V", 1, unfused);
+  const CellResult fused = hohtm::kv::run_kv_cell(
       config, [&] { return frozen_store(16); });
-  hohtm::harness::emit_kv_row("kv", "fusion-smoke", "RR-V+fuse", 1,
-                              fused.base, extra(fused));
-  const auto& uc = unfused.base.counters;
-  const auto& fc = fused.base.counters;
+  hohtm::harness::emit_row("kv", "fusion-smoke", "RR-V+fuse", 1, fused);
+  const auto& uc = unfused.counters;
+  const auto& fc = fused.counters;
   if (fc.commits >= uc.commits) {
     std::fprintf(stderr,
                  "kv fusion smoke: fused run committed %llu txs vs %llu "
@@ -185,10 +175,9 @@ int run_attribution_smoke() {
     opt.window = 4;
     return std::make_unique<kv::Store<TM, rr::RrV<TM>>>(opt);
   };
-  const KvCellResult cell = hohtm::kv::run_kv_cell(config, contended_store);
-  hohtm::harness::emit_kv_row("kv", "attr-smoke", "RR-V", config.threads,
-                              cell.base, extra(cell));
-  const auto& c = cell.base.counters;
+  const CellResult cell = hohtm::kv::run_kv_cell(config, contended_store);
+  hohtm::harness::emit_row("kv", "attr-smoke", "RR-V", config.threads, cell);
+  const auto& c = cell.counters;
   const unsigned long long losses = c.reservation_losses;
   const unsigned long long attributed = c.attributed_losses();
   const unsigned long long unknown = c.unknown_losses();
@@ -273,17 +262,16 @@ int run_smoke() {
   config.threads = 1;
   config.ops_per_thread = 2000;
   config.trials = 1;
-  hohtm::harness::emit_kv_header("kv", "smoke: 1-thread YCSB-C, RR-V");
-  const KvCellResult cell = hohtm::kv::run_kv_cell(
+  hohtm::harness::emit_header("kv", "smoke: 1-thread YCSB-C, RR-V");
+  const CellResult cell = hohtm::kv::run_kv_cell(
       config, [&] { return make_store<rr::RrV<TM>>(16); });
-  hohtm::harness::emit_kv_row("kv", "smoke", "RR-V", 1, cell.base,
-                              extra(cell));
+  hohtm::harness::emit_row("kv", "smoke", "RR-V", 1, cell);
   const long long leaked = hohtm::reclaim::Gauge::live() - baseline;
-  if (cell.base.mops.mean <= 0.0) {
+  if (cell.mops.mean <= 0.0) {
     std::fprintf(stderr, "kv smoke: zero throughput\n");
     return 1;
   }
-  if (cell.hits == 0) {
+  if (cell.column("kv_hits") == 0) {
     std::fprintf(stderr, "kv smoke: no read ever hit\n");
     return 1;
   }
@@ -293,8 +281,8 @@ int run_smoke() {
     return 1;
   }
   std::printf("# kv smoke ok: %llu hits, %llu buckets migrated, 0 leaks\n",
-              static_cast<unsigned long long>(cell.hits),
-              static_cast<unsigned long long>(cell.migrations));
+              static_cast<unsigned long long>(cell.column("kv_hits")),
+              static_cast<unsigned long long>(cell.column("kv_migrations")));
   if (int rc = run_fusion_smoke(); rc != 0) return rc;
   if (int rc = run_attribution_smoke(); rc != 0) return rc;
   return run_watchdog_smoke();
@@ -324,7 +312,7 @@ bool canon_less(const std::string& a, const std::string& b) {
 ///     columns are live (kv_scans > 0, windows >= scans).
 int run_scan_smoke() {
   using ScanStore = kv::Store<TM, rr::RrV<TM>>;
-  hohtm::harness::emit_kv_header("kv", "smoke: YCSB-E range scans, RR-V");
+  hohtm::harness::emit_header("kv", "smoke: YCSB-E range scans, RR-V");
   const long long baseline = hohtm::reclaim::Gauge::live();
   {
     ScanStore::Options opt;
@@ -434,23 +422,22 @@ int run_scan_smoke() {
   config.ops_per_thread = 500;
   config.trials = 1;
   config.max_scan_len = 32;
-  const KvCellResult cell = hohtm::kv::run_kv_cell(
+  const CellResult cell = hohtm::kv::run_kv_cell(
       config, [&] { return make_store<rr::RrV<TM>>(8); });
-  hohtm::harness::emit_kv_row("kv", "scan-smoke", "RR-V", 1, cell.base,
-                              extra(cell));
-  if (cell.scans == 0 || cell.scan_windows < cell.scans) {
+  hohtm::harness::emit_row("kv", "scan-smoke", "RR-V", 1, cell);
+  const unsigned long long scans = cell.column("kv_scans");
+  const unsigned long long windows = cell.column("kv_scan_windows");
+  if (scans == 0 || windows < scans) {
     std::fprintf(stderr,
                  "kv scan smoke: E cell scan counters dead (scans=%llu "
                  "windows=%llu)\n",
-                 static_cast<unsigned long long>(cell.scans),
-                 static_cast<unsigned long long>(cell.scan_windows));
+                 scans, windows);
     return 1;
   }
   std::printf("# kv scan smoke ok: E cell ran %llu scans over %llu windows "
               "(%llu resumes)\n",
-              static_cast<unsigned long long>(cell.scans),
-              static_cast<unsigned long long>(cell.scan_windows),
-              static_cast<unsigned long long>(cell.scan_resumes));
+              scans, windows,
+              static_cast<unsigned long long>(cell.column("kv_scan_resumes")));
   return 0;
 }
 
@@ -486,7 +473,7 @@ int main(int argc, char** argv) {
     return run_smoke();
   }
   const BenchEnv env = BenchEnv::from_environment();
-  hohtm::harness::emit_kv_header(
+  hohtm::harness::emit_header(
       "kv", "sharded KV store: 2048 records, zipfian(0.99); panels = YCSB "
             "A/B/C/D/E mixes");
   if (have_mix) {

@@ -84,7 +84,7 @@ for arg in "$@"; do
       # AND fewer quiescence waits per op than depth-1, and that a
       # stalled client leaves the watchdog clean with a Gauge-exact
       # footprint — and finally summarize_bench.py rendering the
-      # serving-tier table from the 36-column rows.
+      # serving-tier table from the net rows.
       NET=1
       ;;
     --full-bench) FULL_BENCH=1 ;;
@@ -268,8 +268,9 @@ echo "== kv smoke (bench/kv_ycsb --smoke)"
 # binary self-asserts consistency, settled migration, and Gauge-precise
 # reclamation, then re-runs the cell unfused vs fused and requires
 # window fusion to cut commits per op with zero added aborts (PR 6),
-# printing 32-column rows. summarize_bench.py must render the kv
-# workload table from them.
+# printing kv rows. summarize_bench.py must render the kv workload
+# table from them (and exits 1 on any row that disagrees with its
+# `# columns:` header).
 KV_OUT="$BUILD_DIR/kv_smoke.txt"
 "./$BUILD_DIR/bench/kv_ycsb" --smoke > "$KV_OUT"
 if ! grep -q "kv workload" <(python3 tools/summarize_bench.py "$KV_OUT"); then

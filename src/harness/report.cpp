@@ -1,6 +1,7 @@
 #include "harness/report.hpp"
 
 #include <cstdio>
+#include <utility>
 
 #include "harness/metrics.hpp"
 #include "tm/config.hpp"
@@ -8,20 +9,47 @@
 namespace hohtm::harness {
 namespace {
 
-std::string cause_columns() {
-  std::string names;
+// The `# columns:` line emit_row printed last; emit_header clears it so
+// every bench block names its columns before its first row.
+std::string last_columns;
+
+std::string column_names(const CellResult& cell) {
+  std::string names = "figure,panel,series,threads,mops,cv_pct,commits,aborts";
   for (std::size_t i = 0; i < tm::kAbortCauseCount; ++i) {
     names += ',';
     names += tm::kAbortCauseNames[i];
   }
+  names +=
+      ",res_lost,fused_windows,commit_p50_ns,commit_p95_ns,commit_p99_ns"
+      ",commit_max_ns,live_peak,res_lost_attr,aborts_attr,quiescence_waits";
+  for (const auto& [name, value] : cell.columns) {
+    names += ',';
+    names += name;
+  }
   return names;
 }
 
-// The shared 25-column cell body (everything but the trailing newline),
-// so the KV variant appends its columns to an identical prefix.
-void print_cell_columns(const std::string& figure, const std::string& panel,
-                        const std::string& series, int threads,
-                        const CellResult& cell) {
+}  // namespace
+
+void emit_header(const std::string& figure, const std::string& description) {
+  install_standard_sections();  // every bench is metrics-snapshot capable
+  std::printf("# %s: %s\n", figure.c_str(), description.c_str());
+  last_columns.clear();
+  std::fflush(stdout);
+}
+
+void emit_panel_note(const std::string& figure, const std::string& panel) {
+  std::printf("# %s panel=%s\n", figure.c_str(), panel.c_str());
+  std::fflush(stdout);
+}
+
+void emit_row(const std::string& figure, const std::string& panel,
+              const std::string& series, int threads, const CellResult& cell) {
+  std::string names = column_names(cell);
+  if (names != last_columns) {
+    std::printf("# columns: %s\n", names.c_str());
+    last_columns = std::move(names);
+  }
   std::printf("%s,%s,%s,%d,%.4f,%.2f", figure.c_str(), panel.c_str(),
               series.c_str(), threads, cell.mops.mean,
               cell.mops.cv_percent());
@@ -45,37 +73,8 @@ void print_cell_columns(const std::string& figure, const std::string& panel,
               static_cast<unsigned long long>(c.attributed_losses()),
               static_cast<unsigned long long>(c.attributed_aborts()));
   std::printf(",%llu", static_cast<unsigned long long>(c.quiescence_waits));
-}
-
-// The shared tail of every `# columns:` header line (after the abort
-// causes) — kept in one place so the base/kv/net variants cannot drift.
-constexpr const char* kBaseTailColumns =
-    ",res_lost,fused_windows,commit_p50_ns,commit_p95_ns,commit_p99_ns"
-    ",commit_max_ns,live_peak,res_lost_attr,aborts_attr,quiescence_waits";
-constexpr const char* kKvColumns =
-    ",kv_hits,kv_misses,kv_migrations,kv_resizes"
-    ",kv_scans,kv_scan_windows,kv_scan_resumes";
-
-}  // namespace
-
-void emit_header(const std::string& figure, const std::string& description) {
-  install_standard_sections();  // every bench is metrics-snapshot capable
-  std::printf("# %s: %s\n", figure.c_str(), description.c_str());
-  std::printf(
-      "# columns: figure,panel,series,threads,mops,cv_pct,commits,aborts%s"
-      "%s\n",
-      cause_columns().c_str(), kBaseTailColumns);
-  std::fflush(stdout);
-}
-
-void emit_panel_note(const std::string& figure, const std::string& panel) {
-  std::printf("# %s panel=%s\n", figure.c_str(), panel.c_str());
-  std::fflush(stdout);
-}
-
-void emit_row(const std::string& figure, const std::string& panel,
-              const std::string& series, int threads, const CellResult& cell) {
-  print_cell_columns(figure, panel, series, threads, cell);
+  for (const auto& [name, value] : cell.columns)
+    std::printf(",%llu", static_cast<unsigned long long>(value));
   std::printf("\n");
   for (const FootprintSample& s : cell.footprint)
     emit_timeline_row(figure, panel, series, threads, s.t_ms, s.live);
@@ -87,68 +86,6 @@ void emit_timeline_row(const std::string& figure, const std::string& panel,
                        long long live) {
   std::printf("timeline,%s,%s,%s,%d,%.2f,%lld\n", figure.c_str(),
               panel.c_str(), series.c_str(), threads, t, live);
-}
-
-void emit_kv_header(const std::string& figure,
-                    const std::string& description) {
-  install_standard_sections();  // every bench is metrics-snapshot capable
-  std::printf("# %s: %s\n", figure.c_str(), description.c_str());
-  std::printf(
-      "# columns: figure,panel,series,threads,mops,cv_pct,commits,aborts%s"
-      "%s%s\n",
-      cause_columns().c_str(), kBaseTailColumns, kKvColumns);
-  std::fflush(stdout);
-}
-
-void emit_kv_row(const std::string& figure, const std::string& panel,
-                 const std::string& series, int threads,
-                 const CellResult& cell, const KvRowExtra& kv) {
-  print_cell_columns(figure, panel, series, threads, cell);
-  std::printf(",%llu,%llu,%llu,%llu,%llu,%llu,%llu\n",
-              static_cast<unsigned long long>(kv.hits),
-              static_cast<unsigned long long>(kv.misses),
-              static_cast<unsigned long long>(kv.migrations),
-              static_cast<unsigned long long>(kv.resizes),
-              static_cast<unsigned long long>(kv.scans),
-              static_cast<unsigned long long>(kv.scan_windows),
-              static_cast<unsigned long long>(kv.scan_resumes));
-  for (const FootprintSample& s : cell.footprint)
-    emit_timeline_row(figure, panel, series, threads, s.t_ms, s.live);
-  std::fflush(stdout);
-}
-
-void emit_net_header(const std::string& figure,
-                     const std::string& description) {
-  install_standard_sections();  // every bench is metrics-snapshot capable
-  std::printf("# %s: %s\n", figure.c_str(), description.c_str());
-  std::printf(
-      "# columns: figure,panel,series,threads,mops,cv_pct,commits,aborts%s"
-      "%s%s,net_batches,net_fused_ops,net_bytes_in,net_bytes_out\n",
-      cause_columns().c_str(), kBaseTailColumns, kKvColumns);
-  std::fflush(stdout);
-}
-
-void emit_net_row(const std::string& figure, const std::string& panel,
-                  const std::string& series, int threads,
-                  const CellResult& cell, const KvRowExtra& kv,
-                  const NetRowExtra& net) {
-  print_cell_columns(figure, panel, series, threads, cell);
-  std::printf(",%llu,%llu,%llu,%llu,%llu,%llu,%llu",
-              static_cast<unsigned long long>(kv.hits),
-              static_cast<unsigned long long>(kv.misses),
-              static_cast<unsigned long long>(kv.migrations),
-              static_cast<unsigned long long>(kv.resizes),
-              static_cast<unsigned long long>(kv.scans),
-              static_cast<unsigned long long>(kv.scan_windows),
-              static_cast<unsigned long long>(kv.scan_resumes));
-  std::printf(",%llu,%llu,%llu,%llu\n",
-              static_cast<unsigned long long>(net.batches),
-              static_cast<unsigned long long>(net.fused_ops),
-              static_cast<unsigned long long>(net.bytes_in),
-              static_cast<unsigned long long>(net.bytes_out));
-  for (const FootprintSample& s : cell.footprint)
-    emit_timeline_row(figure, panel, series, threads, s.t_ms, s.live);
-  std::fflush(stdout);
 }
 
 }  // namespace hohtm::harness

@@ -1,39 +1,34 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "harness/driver.hpp"
 
 namespace hohtm::harness {
 
-/// Uniform reporting for the figure-reproduction benches. Each bench
-/// binary prints one block per figure panel:
+/// Uniform reporting for every bench binary: one self-describing CSV
+/// record per cell. Each bench prints a block per figure panel:
 ///
-///   # fig2 panel=6bit-33pct series=RR-XO
+///   # fig2: singly list, ...
+///   # fig2 panel=6bit-33pct
+///   # columns: figure,panel,series,threads,mops,cv_pct,commits,...
 ///   fig2,6bit-33pct,RR-XO,1,1.234,0.8,123456,17,9,0,8,0,42,3,12,5,...
 ///
-/// The first six columns (figure, panel, series, threads, Mops/s mean,
-/// cv%) regenerate the paper's throughput-vs-threads curves. Then the
-/// abort-cause telemetry summed over the cell's timed trials: commits,
-/// aborts, one column per tm::AbortCause (validation, lock, user,
-/// serial_esc, revocations, hoh_retries, fusion_fallbacks), then
-/// res_lost (reservations observed revoked by their holder) and
-/// fused_windows (window boundaries elided by committed fused
-/// traversals, PR 6). PR 2 appends the latency and footprint columns:
-/// commit_p50_ns, commit_p95_ns, commit_p99_ns, commit_max_ns
-/// (commit-latency percentiles from the merged util::Metrics
-/// histograms — zero unless built with HOHTM_TRACE=ON) and live_peak
-/// (max live-object count observed during the cell). PR 7 appends the
-/// attribution pair: res_lost_attr (losses whose revoker was named via
-/// the RevocationBoard) and aborts_attr (conflict aborts with a known
-/// aborter slot), and emit_header now prints a `# columns:` line naming
-/// them all. PR 10 appends quiescence_waits (fences executed by
-/// Quiescence::wait_until / wait_all_inactive during the timed phase —
-/// the precise-reclamation synchrony an op mix pays) — 25 columns.
-/// tools/summarize_bench.py keys on that header when present and still
-/// understands every historical headerless width (6, 15, 20, 22, 24
-/// columns).
+/// The one rule: a data row is decoded only by the `# columns:` line
+/// printed most recently before it, and emit_row prints that line
+/// whenever a row's column names differ from the last header it
+/// printed. tools/summarize_bench.py and tools/trace_report.py index
+/// columns by those names and reject a row whose width disagrees.
+///
+/// Every row starts with the standard block: figure, panel, series,
+/// threads, Mops/s mean and cv% (the paper's throughput-vs-threads
+/// curves), then the TM telemetry summed over the cell's timed trials —
+/// commits, aborts, one column per tm::AbortCause, res_lost,
+/// fused_windows — the commit-latency percentiles commit_p50/p95/p99/
+/// max_ns (zero unless built with HOHTM_TRACE=ON), live_peak,
+/// res_lost_attr and aborts_attr (losses / aborts whose aborter is
+/// known) and quiescence_waits. The cell's named `columns` follow in
+/// order.
 ///
 /// When footprint sampling is on (HOH_BENCH_FOOTPRINT_MS), each cell is
 /// followed by its reclamation-footprint timeline, one sample per row:
@@ -53,48 +48,5 @@ void emit_row(const std::string& figure, const std::string& panel,
 void emit_timeline_row(const std::string& figure, const std::string& panel,
                        const std::string& series, int threads, double t,
                        long long live);
-
-/// KV telemetry appended to a cell row by the kv_ycsb bench (PR 5):
-/// read hits/misses, old-table buckets migrated, tables installed, and
-/// the range-scan triple (ops, committed window transactions, cursor
-/// resumes — see docs/KV.md, "Range scans").
-struct KvRowExtra {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t resizes = 0;
-  std::uint64_t scans = 0;
-  std::uint64_t scan_windows = 0;
-  std::uint64_t scan_resumes = 0;
-};
-
-/// 32-column variant of the bench CSV: the 25 emit_row columns plus
-/// kv_hits,kv_misses,kv_migrations,kv_resizes,kv_scans,kv_scan_windows,
-/// kv_scan_resumes. summarize_bench.py and trace_report.py accept both
-/// layouts via the `# columns:` header (historical headerless widths
-/// keep decoding by column count).
-void emit_kv_header(const std::string& figure, const std::string& description);
-void emit_kv_row(const std::string& figure, const std::string& panel,
-                 const std::string& series, int threads,
-                 const CellResult& cell, const KvRowExtra& kv);
-
-/// Serving-tier telemetry appended by the kv_loopback bench (PR 10):
-/// pipeline batches submitted through the ring as kBatch requests, ops
-/// that committed inside a fused same-shard group (2+ ops in one window
-/// transaction), and raw wire traffic (see docs/SERVING.md).
-struct NetRowExtra {
-  std::uint64_t batches = 0;
-  std::uint64_t fused_ops = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-};
-
-/// 36-column variant: the 32 emit_kv_row columns plus
-/// net_batches,net_fused_ops,net_bytes_in,net_bytes_out.
-void emit_net_header(const std::string& figure, const std::string& description);
-void emit_net_row(const std::string& figure, const std::string& panel,
-                  const std::string& series, int threads,
-                  const CellResult& cell, const KvRowExtra& kv,
-                  const NetRowExtra& net);
 
 }  // namespace hohtm::harness

@@ -20,7 +20,7 @@ struct WorkloadConfig {
   int trials = 1;
   std::uint64_t seed = 42;
   /// Footprint-timeline sampling cadence in milliseconds; 0 (default)
-  /// disables the sampler thread entirely (see run_cell).
+  /// disables the sampler thread entirely (see run_timed).
   int footprint_ms = 0;
 
   long key_range() const noexcept { return 1L << key_bits; }

@@ -2,12 +2,20 @@
 // measurement driver end to end.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "ds/sll_hoh.hpp"
 #include "harness/driver.hpp"
+#include "harness/report.hpp"
 #include "harness/workload.hpp"
 
 namespace hohtm::harness {
@@ -100,6 +108,120 @@ TEST(Driver, LookupOnlyMixDoesNotMutate) {
   });
   (void)witness;
   EXPECT_EQ(prefill_size, 32u);
+}
+
+// Blocks the calling thread until `deadline` (a deadline wait rather
+// than a sleep: the lint forbids sleep-based pauses in tests too).
+void block_until(std::chrono::steady_clock::time_point deadline) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait_until(lock, deadline, [&] {
+    return std::chrono::steady_clock::now() >= deadline;
+  });
+}
+
+// The duration run_timed reports must cover every worker's own span,
+// including a worker that starts its ops ~20 ms late: the workers stamp
+// the clock themselves, so no thread's scheduling can shrink it.
+TEST(RunTimed, DurationCoversEveryWorkerSpan) {
+  using Clock = std::chrono::steady_clock;
+  constexpr int kThreads = 3;
+  std::vector<double> spans(kThreads, 0.0);
+  const TimedRun run = run_timed(kThreads, 0, [&](int t) {
+    const auto begin = Clock::now();
+    if (t == 1) block_until(begin + std::chrono::milliseconds(20));
+    volatile std::uint64_t sink = 0;
+    for (std::uint64_t i = 0; i < 100000; ++i) sink = sink + i;
+    spans[static_cast<std::size_t>(t)] =
+        std::chrono::duration<double>(Clock::now() - begin).count();
+  });
+  EXPECT_GE(spans[1], 0.020);
+  for (double span : spans) EXPECT_GE(run.seconds, span);
+  EXPECT_TRUE(run.footprint.empty());
+}
+
+TEST(RunTimed, FootprintSamplesIffCadenceSet) {
+  for (int footprint_ms : {0, 1}) {
+    const TimedRun run = run_timed(2, footprint_ms, [](int t) {
+      if (t == 0)
+        block_until(std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(5));
+    });
+    EXPECT_EQ(!run.footprint.empty(), footprint_ms > 0) << footprint_ms;
+    for (const FootprintSample& s : run.footprint) EXPECT_GE(s.t_ms, 0.0);
+  }
+}
+
+TEST(CellResult, ColumnsAccumulateInFirstUseOrder) {
+  CellResult cell;
+  cell.add("b", 2);
+  cell.add("a", 1);
+  cell.add("b", 5);
+  ASSERT_EQ(cell.columns.size(), 2u);
+  EXPECT_EQ(cell.columns[0].first, "b");
+  EXPECT_EQ(cell.column("b"), 7u);
+  EXPECT_EQ(cell.column("a"), 1u);
+  EXPECT_EQ(cell.column("missing"), 0u);
+}
+
+std::vector<std::string> split(const std::string& line) {
+  std::vector<std::string> fields;
+  std::stringstream stream(line);
+  std::string field;
+  while (std::getline(stream, field, ',')) fields.push_back(field);
+  return fields;
+}
+
+// One emitter for every row shape: a `# columns:` line precedes each
+// change of column set (and only a change), and every data row has
+// exactly as many fields as the header before it names.
+TEST(Report, HeaderPrecedesEachColumnSetChange) {
+  CellResult base;
+  CellResult kv;
+  for (const char* name : {"kv_hits", "kv_misses", "kv_migrations",
+                           "kv_resizes", "kv_scans", "kv_scan_windows",
+                           "kv_scan_resumes"})
+    kv.add(name, 1);
+  CellResult net = kv;
+  for (const char* name :
+       {"net_batches", "net_fused_ops", "net_bytes_in", "net_bytes_out"})
+    net.add(name, 2);
+
+  testing::internal::CaptureStdout();
+  emit_header("test", "emitter");
+  emit_row("test", "p", "base", 1, base);
+  emit_row("test", "p", "base", 2, base);
+  emit_row("test", "p", "kv", 1, kv);
+  emit_row("test", "p", "net", 1, net);
+  emit_row("test", "p", "base", 4, base);
+  const std::string out = testing::internal::GetCapturedStdout();
+
+  std::stringstream lines(out);
+  std::string line;
+  std::vector<std::string> header;
+  std::vector<std::size_t> header_widths;
+  int rows = 0;
+  const std::string prefix = "# columns: ";
+  while (std::getline(lines, line)) {
+    if (line.rfind(prefix, 0) == 0) {
+      header = split(line.substr(prefix.size()));
+      header_widths.push_back(header.size());
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    ++rows;
+    ASSERT_FALSE(header.empty()) << "row before any header: " << line;
+    EXPECT_EQ(split(line).size(), header.size()) << line;
+  }
+  EXPECT_EQ(rows, 5);
+  // base, kv, net, base again: four headers, the repeated base row
+  // printing none.
+  ASSERT_EQ(header_widths.size(), 4u);
+  EXPECT_EQ(header_widths[0], 25u);
+  EXPECT_EQ(header_widths[1], 32u);
+  EXPECT_EQ(header_widths[2], 36u);
+  EXPECT_EQ(header_widths[3], 25u);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """ctest-registered checks for tools/summarize_bench.py and
-tools/trace_report.py: every CSV layout the benches have ever emitted
-must keep loading (legacy 6-column, telemetry 15-column, observability
-20-column, kv 24-column, their fusion-era 17/22/26-column successors,
-the scan-era 31-column kv layout, and the serving-era 25/32/36-column
-layouts), malformed rows must be skipped rather than crash the report,
-and timeline rows must route to trace_report.py only."""
+tools/trace_report.py: data rows decode by the names of the latest
+`# columns:` header, whatever columns it names; a row whose width
+disagrees with that header (or that has none) is header drift and fails
+the tool with the row's line number; malformed rows are skipped rather
+than crash the report; and timeline rows route to trace_report.py
+only."""
 
 import io
 import os
@@ -23,62 +23,61 @@ sys.path.insert(0, str(TOOLS))
 import summarize_bench  # noqa: E402
 import trace_report  # noqa: E402
 
+# Each fixture row travels with the `# columns:` header naming its
+# columns — the only way a row is decoded.
+LEGACY_HEADER = "# columns: figure,panel,series,threads,mops,cv_pct"
 LEGACY_ROW = "fig2,intset,rr-fa,4,12.3456,1.20"
+TELEMETRY_HEADER = (LEGACY_HEADER +
+                    ",commits,aborts,validation,lock,user,serial_esc,"
+                    "revocations,hoh_retries,res_lost")
 TELEMETRY_ROW = ("fig2,intset,rr-fa,8,10.5000,0.90,"
                  "1000,50,10,20,5,3,7,4,1")
+LATENCY_NAMES = (",commit_p50_ns,commit_p95_ns,commit_p99_ns,"
+                 "commit_max_ns,live_peak")
+OBSERVABILITY_HEADER = TELEMETRY_HEADER + LATENCY_NAMES
 OBSERVABILITY_ROW = (TELEMETRY_ROW.replace(",8,", ",16,") +
                      ",2048,8192,16384,30000,512")
+KV_NAMES = ",kv_hits,kv_misses,kv_migrations,kv_resizes"
+KV_HEADER = OBSERVABILITY_HEADER + KV_NAMES
 KV_ROW = ("kv,ycsb-b,RR-V,16,10.5000,0.90,"
           "1000,50,10,20,5,3,7,4,1,"
           "2048,8192,16384,30000,512,"
           "3800,200,96,3")
-# Fusion-era layouts (PR 6): fusion_fallbacks joins the cause block and
-# fused_windows follows res_lost (17/22/26 columns).
-FUSION_TELEMETRY_ROW = ("fig2,intset,rr-fa,8,10.5000,0.90,"
-                        "1000,50,10,20,5,3,7,4,2,1,64")
-FUSION_OBSERVABILITY_ROW = (FUSION_TELEMETRY_ROW.replace(",8,", ",16,") +
-                            ",2048,8192,16384,30000,512")
+# Window fusion: fusion_fallbacks joins the cause block and
+# fused_windows follows res_lost.
+FUSION_OBSERVABILITY_HEADER = (LEGACY_HEADER +
+                               ",commits,aborts,validation,lock,user,"
+                               "serial_esc,revocations,hoh_retries,"
+                               "fusion_fallbacks,res_lost,fused_windows" +
+                               LATENCY_NAMES)
+FUSION_OBSERVABILITY_ROW = ("fig2,intset,rr-fa,16,10.5000,0.90,"
+                            "1000,50,10,20,5,3,7,4,2,1,64,"
+                            "2048,8192,16384,30000,512")
+FUSION_KV_HEADER = FUSION_OBSERVABILITY_HEADER + KV_NAMES
 FUSION_KV_ROW = ("kv,ycsb-c,RR-V+fuse,16,10.5000,0.90,"
                  "1000,50,10,20,5,3,7,4,2,1,64,"
                  "2048,8192,16384,30000,512,"
                  "3800,200,96,3")
-# Attribution-era layouts (PR 7): res_lost_attr,aborts_attr appended after
-# live_peak. These rows always travel with their `# columns:` header —
-# that is what disambiguates the new 24-column base layout from the
-# headerless pre-fusion kv 24-column layout above.
-ATTR_HEADER = ("# columns: figure,panel,series,threads,mops,cv_pct,"
-               "commits,aborts,validation,lock,user,serial_esc,"
-               "revocations,hoh_retries,fusion_fallbacks,res_lost,"
-               "fused_windows,commit_p50_ns,commit_p95_ns,commit_p99_ns,"
-               "commit_max_ns,live_peak,res_lost_attr,aborts_attr")
+# Causal attribution: res_lost_attr,aborts_attr after live_peak.
+ATTR_HEADER = FUSION_OBSERVABILITY_HEADER + ",res_lost_attr,aborts_attr"
 ATTR_ROW = (FUSION_OBSERVABILITY_ROW + ",9,6")
-ATTR_KV_HEADER = (ATTR_HEADER +
-                  ",kv_hits,kv_misses,kv_migrations,kv_resizes")
+ATTR_KV_HEADER = ATTR_HEADER + KV_NAMES
 ATTR_KV_ROW = ("kv,ycsb-c,RR-V+fuse,16,10.5000,0.90,"
                "1000,50,10,20,5,3,7,4,2,1,64,"
                "2048,8192,16384,30000,512,9,6,"
                "3800,200,96,3")
-# Scan-era kv layout (PR 8): the attribution pair plus the four kv
-# columns and the range-scan triple — 31 columns. Unlike the 24-column
-# collision above, 31 is disjoint from every earlier width, so these
-# rows decode even when the header got stripped.
-SCAN_KV_HEADER = (ATTR_HEADER +
-                  ",kv_hits,kv_misses,kv_migrations,kv_resizes"
+# The kv range-scan triple after the four kv columns.
+SCAN_KV_HEADER = (ATTR_KV_HEADER +
                   ",kv_scans,kv_scan_windows,kv_scan_resumes")
 SCAN_KV_ROW = ("kv,ycsb-e,RR-V,16,10.5000,0.90,"
                "1000,50,10,20,5,3,7,4,2,1,64,"
                "2048,8192,16384,30000,512,9,6,"
                "3800,200,96,3,480,1320,2")
-# Serving-era layouts (PR 10): quiescence_waits joins the base tail
-# after aborts_attr (25 columns), the kv layout grows to 32, and the
-# loopback bench appends net_batches,net_fused_ops,net_bytes_in,
-# net_bytes_out after the scan triple (36). All three widths are
-# disjoint from every earlier layout, so the rows decode even when the
-# header got stripped.
+# The current layouts: quiescence_waits after aborts_attr (25 columns),
+# the kv_ycsb columns (32), and the kv_loopback net columns (36).
 QWAITS_HEADER = ATTR_HEADER + ",quiescence_waits"
 QWAITS_ROW = ATTR_ROW + ",210"
-NET_KV_HEADER = (QWAITS_HEADER +
-                 ",kv_hits,kv_misses,kv_migrations,kv_resizes"
+NET_KV_HEADER = (QWAITS_HEADER + KV_NAMES +
                  ",kv_scans,kv_scan_windows,kv_scan_resumes")
 NET_KV_ROW = ("kv,ycsb-a,RR-V,16,10.5000,0.90,"
               "1000,50,10,20,5,3,7,4,2,1,64,"
@@ -105,82 +104,38 @@ class LoadTest(unittest.TestCase):
         finally:
             os.unlink(path)
 
-    def test_legacy_six_columns(self):
-        rows = self.load(["# a comment", LEGACY_ROW])
-        self.assertEqual(len(rows), 1)
-        figure, panel, series, threads, mops, counters = rows[0]
-        self.assertEqual((figure, panel, series, threads),
-                         ("fig2", "intset", "rr-fa", 4))
-        self.assertAlmostEqual(mops, 12.3456)
-        self.assertIsNone(counters)
-
-    def test_telemetry_fifteen_columns(self):
-        rows = self.load([TELEMETRY_ROW])
-        self.assertEqual(len(rows), 1)
-        counters = rows[0][-1]
-        self.assertEqual(counters["commits"], 1000)
-        self.assertEqual(counters["aborts"], 50)
-        self.assertEqual(counters["res_lost"], 1)
-        self.assertNotIn("live_peak", counters)
-
-    def test_observability_twenty_columns(self):
-        rows = self.load([OBSERVABILITY_ROW])
-        counters = rows[0][-1]
-        self.assertEqual(counters["commit_p50_ns"], 2048)
-        self.assertEqual(counters["commit_max_ns"], 30000)
-        self.assertEqual(counters["live_peak"], 512)
-
-    def test_kv_twenty_four_columns(self):
-        rows = self.load([KV_ROW])
-        counters = rows[0][-1]
-        self.assertEqual(counters["kv_hits"], 3800)
-        self.assertEqual(counters["kv_misses"], 200)
-        self.assertEqual(counters["kv_migrations"], 96)
-        self.assertEqual(counters["kv_resizes"], 3)
-        self.assertEqual(counters["live_peak"], 512)  # earlier tail intact
-
-    def test_fusion_seventeen_columns(self):
-        rows = self.load([FUSION_TELEMETRY_ROW])
-        self.assertEqual(len(rows), 1)
-        counters = rows[0][-1]
-        self.assertEqual(counters["fusion_fallbacks"], 2)
-        self.assertEqual(counters["res_lost"], 1)
-        self.assertEqual(counters["fused_windows"], 64)
-        self.assertNotIn("live_peak", counters)
-
-    def test_fusion_twenty_two_columns(self):
-        rows = self.load([FUSION_OBSERVABILITY_ROW])
-        counters = rows[0][-1]
-        self.assertEqual(counters["fused_windows"], 64)
-        self.assertEqual(counters["commit_p50_ns"], 2048)
-        self.assertEqual(counters["live_peak"], 512)
-        self.assertNotIn("kv_hits", counters)
-
-    def test_fusion_twenty_six_columns(self):
-        rows = self.load([FUSION_KV_ROW])
-        counters = rows[0][-1]
-        self.assertEqual(counters["fusion_fallbacks"], 2)
-        self.assertEqual(counters["fused_windows"], 64)
-        self.assertEqual(counters["live_peak"], 512)
-        self.assertEqual(counters["kv_hits"], 3800)
-        self.assertEqual(counters["kv_resizes"], 3)
-
-    def test_malformed_kv_tail_keeps_observability(self):
+    def test_malformed_kv_cell_keeps_the_rest(self):
         bad = KV_ROW.rsplit(",", 1)[0] + ",oops"
-        rows = self.load([bad])
+        rows = self.load([KV_HEADER, bad])
         self.assertEqual(len(rows), 1)
         counters = rows[0][-1]
-        self.assertNotIn("kv_hits", counters)
+        self.assertNotIn("kv_resizes", counters)
+        self.assertEqual(counters["kv_hits"], 3800)
         self.assertEqual(counters["live_peak"], 512)
 
-    def test_mixed_layouts_coexist(self):
-        rows = self.load([LEGACY_ROW, TELEMETRY_ROW, OBSERVABILITY_ROW,
-                          KV_ROW, FUSION_TELEMETRY_ROW,
-                          FUSION_OBSERVABILITY_ROW, FUSION_KV_ROW])
+    def test_each_row_decodes_by_its_latest_header(self):
+        rows = self.load([LEGACY_HEADER, LEGACY_ROW,
+                          TELEMETRY_HEADER, TELEMETRY_ROW,
+                          OBSERVABILITY_HEADER, OBSERVABILITY_ROW,
+                          KV_HEADER, KV_ROW,
+                          FUSION_OBSERVABILITY_HEADER,
+                          FUSION_OBSERVABILITY_ROW,
+                          FUSION_KV_HEADER, FUSION_KV_ROW,
+                          NET_HEADER, NET_ROW])
         self.assertEqual(len(rows), 7)
+        self.assertIsNone(rows[0][-1])  # six columns: no telemetry
+        self.assertEqual(rows[1][-1]["res_lost"], 1)
+        self.assertNotIn("live_peak", rows[1][-1])
+        self.assertEqual(rows[2][-1]["commit_max_ns"], 30000)
+        self.assertEqual(rows[3][-1]["kv_migrations"], 96)
+        self.assertEqual(rows[4][-1]["fused_windows"], 64)
+        self.assertEqual(rows[5][-1]["fusion_fallbacks"], 2)
+        self.assertEqual(rows[5][-1]["kv_resizes"], 3)
+        self.assertEqual(rows[6][-1]["net_fused_ops"], 3985)
 
     def test_malformed_rows_are_skipped(self):
         rows = self.load([
+            LEGACY_HEADER,
             "not,a,row",
             "fig2,intset,rr-fa,four,12.3,1.2",     # non-integer threads
             "fig2,intset,rr-fa,4,fast,1.2",        # non-float mops
@@ -192,9 +147,11 @@ class LoadTest(unittest.TestCase):
 
     def test_malformed_telemetry_keeps_throughput(self):
         bad = TELEMETRY_ROW.rsplit(",", 1)[0] + ",oops"
-        rows = self.load([bad])
+        rows = self.load([TELEMETRY_HEADER, bad])
         self.assertEqual(len(rows), 1)
-        self.assertIsNone(rows[0][-1])  # counters dropped, row kept
+        self.assertAlmostEqual(rows[0][4], 10.5)
+        self.assertNotIn("res_lost", rows[0][-1])  # bad cell dropped
+        self.assertEqual(rows[0][-1]["commits"], 1000)
 
     def test_header_driven_attribution_columns(self):
         rows = self.load([ATTR_HEADER, ATTR_ROW])
@@ -212,24 +169,15 @@ class LoadTest(unittest.TestCase):
         self.assertEqual(counters["kv_hits"], 3800)
         self.assertEqual(counters["kv_resizes"], 3)
 
-    def test_headerless_24_keeps_legacy_kv_interpretation(self):
-        # Without a header, a 24-column row is the pre-fusion kv layout;
-        # the same width WITH the attribution header decodes by name.
-        rows = self.load([KV_ROW])
-        self.assertIn("kv_hits", rows[0][-1])
-        rows = self.load([ATTR_HEADER, ATTR_ROW])
-        self.assertNotIn("kv_hits", rows[0][-1])
-        self.assertIn("res_lost_attr", rows[0][-1])
-
-    def test_later_header_with_same_width_wins(self):
-        other = ATTR_HEADER.replace("res_lost_attr", "renamed_attr")
-        rows = self.load([other, ATTR_HEADER, ATTR_ROW])
-        self.assertIn("res_lost_attr", rows[0][-1])
-
-    def test_header_applies_only_to_matching_width(self):
-        # A 24-name header must not disturb 26-column fusion-kv rows.
-        rows = self.load([ATTR_HEADER, FUSION_KV_ROW])
-        self.assertEqual(rows[0][-1]["kv_hits"], 3800)
+    def test_width_mismatch_is_header_drift(self):
+        # A 26-column row under a 24-name header, and a row with no
+        # header at all, are drift: rejected, naming the line.
+        with self.assertRaisesRegex(summarize_bench.HeaderDrift,
+                                    r":3: row has 26 columns .* names 24"):
+            self.load([ATTR_HEADER, ATTR_ROW, FUSION_KV_ROW])
+        with self.assertRaisesRegex(summarize_bench.HeaderDrift,
+                                    r":2: data row before any"):
+            self.load(["# a comment", LEGACY_ROW])
 
     def test_header_driven_scan_columns(self):
         rows = self.load([SCAN_KV_HEADER, SCAN_KV_ROW])
@@ -241,19 +189,6 @@ class LoadTest(unittest.TestCase):
         self.assertEqual(counters["kv_hits"], 3800)
         self.assertEqual(counters["res_lost_attr"], 9)
         self.assertEqual(counters["live_peak"], 512)
-
-    def test_headerless_31_decodes_scan_columns(self):
-        # The width-31 fallback: header stripped (e.g. grep'd capture),
-        # every block still lands by position.
-        rows = self.load([SCAN_KV_ROW])
-        self.assertEqual(len(rows), 1)
-        counters = rows[0][-1]
-        self.assertEqual(counters["kv_scans"], 480)
-        self.assertEqual(counters["kv_scan_windows"], 1320)
-        self.assertEqual(counters["kv_scan_resumes"], 2)
-        self.assertEqual(counters["kv_resizes"], 3)
-        self.assertEqual(counters["aborts_attr"], 6)
-        self.assertEqual(counters["fused_windows"], 64)
 
     def test_header_driven_serving_columns(self):
         rows = self.load([NET_HEADER, NET_ROW])
@@ -267,36 +202,10 @@ class LoadTest(unittest.TestCase):
         self.assertEqual(counters["kv_hits"], 3800)
         self.assertEqual(counters["live_peak"], 512)
 
-    def test_headerless_25_decodes_quiescence_column(self):
-        rows = self.load([QWAITS_ROW])
-        self.assertEqual(len(rows), 1)
-        counters = rows[0][-1]
-        self.assertEqual(counters["quiescence_waits"], 210)
-        self.assertEqual(counters["res_lost_attr"], 9)
-        self.assertEqual(counters["fused_windows"], 64)
-        self.assertNotIn("kv_hits", counters)
-
-    def test_headerless_32_decodes_serving_kv_columns(self):
-        rows = self.load([NET_KV_ROW])
-        self.assertEqual(len(rows), 1)
-        counters = rows[0][-1]
-        self.assertEqual(counters["quiescence_waits"], 210)
-        self.assertEqual(counters["kv_hits"], 3800)
-        self.assertEqual(counters["kv_scan_resumes"], 0)
-        self.assertNotIn("net_batches", counters)
-
-    def test_headerless_36_decodes_net_columns(self):
-        rows = self.load([NET_ROW])
-        self.assertEqual(len(rows), 1)
-        counters = rows[0][-1]
-        self.assertEqual(counters["net_batches"], 250)
-        self.assertEqual(counters["net_fused_ops"], 3985)
-        self.assertEqual(counters["quiescence_waits"], 210)
-        self.assertEqual(counters["kv_migrations"], 96)
-
     def test_timeline_rows_are_skipped(self):
         rows = self.load([
             "timeline,fig5,alloc,rr-fa,4,10.00,123",
+            LEGACY_HEADER,
             LEGACY_ROW,
         ])
         self.assertEqual(len(rows), 1)
@@ -315,14 +224,15 @@ class CliTest(unittest.TestCase):
 
     def test_summarize_renders_table(self):
         proc = self.run_tool("summarize_bench.py",
-                             [LEGACY_ROW, OBSERVABILITY_ROW])
+                             [LEGACY_HEADER, LEGACY_ROW,
+                              OBSERVABILITY_HEADER, OBSERVABILITY_ROW])
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("fig2 / intset", proc.stdout)
         self.assertIn("rr-fa", proc.stdout)
         self.assertIn("live_peak", proc.stdout)  # observability column shows
 
     def test_summarize_renders_kv_table(self):
-        proc = self.run_tool("summarize_bench.py", [KV_ROW])
+        proc = self.run_tool("summarize_bench.py", [KV_HEADER, KV_ROW])
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("kv workload", proc.stdout)
         self.assertIn("95.00", proc.stdout)  # 3800 / 4000 keyed ops
@@ -338,14 +248,16 @@ class CliTest(unittest.TestCase):
 
     def test_summarize_renders_fusion_columns(self):
         proc = self.run_tool("summarize_bench.py",
-                             [FUSION_OBSERVABILITY_ROW])
+                             [FUSION_OBSERVABILITY_HEADER,
+                              FUSION_OBSERVABILITY_ROW])
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("fusion_fb", proc.stdout)
         self.assertIn("fused_win", proc.stdout)
         self.assertIn("64.00", proc.stdout)  # 64 fused per 1k commits
 
     def test_pre_fusion_rows_render_no_fusion_columns(self):
-        proc = self.run_tool("summarize_bench.py", [OBSERVABILITY_ROW])
+        proc = self.run_tool("summarize_bench.py",
+                             [OBSERVABILITY_HEADER, OBSERVABILITY_ROW])
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertNotIn("fused_win", proc.stdout)
 
@@ -360,13 +272,14 @@ class CliTest(unittest.TestCase):
         self.assertIn("2.75", proc.stdout)  # 1320 / 480 windows per scan
 
     def test_scanless_kv_rows_render_no_scan_columns(self):
-        proc = self.run_tool("summarize_bench.py", [KV_ROW])
+        proc = self.run_tool("summarize_bench.py", [KV_HEADER, KV_ROW])
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("kv workload", proc.stdout)
         self.assertNotIn("win/scan", proc.stdout)
 
     def test_non_kv_rows_render_no_kv_table(self):
-        proc = self.run_tool("summarize_bench.py", [OBSERVABILITY_ROW])
+        proc = self.run_tool("summarize_bench.py",
+                             [OBSERVABILITY_HEADER, OBSERVABILITY_ROW])
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertNotIn("kv workload", proc.stdout)
 
@@ -392,12 +305,20 @@ class CliTest(unittest.TestCase):
         self.assertNotIn("serving tier", proc.stdout)
         self.assertNotIn("qwaits", proc.stdout)
 
+    def test_summarize_header_drift_exits_with_line_number(self):
+        proc = self.run_tool("summarize_bench.py",
+                             [NET_HEADER, NET_ROW, NET_KV_ROW])
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn(":3: row has 32 columns", proc.stderr)
+        self.assertEqual(proc.stdout, "")
+
     def test_summarize_empty_input_fails(self):
         proc = self.run_tool("summarize_bench.py", ["# nothing here"])
         self.assertEqual(proc.returncode, 1)
 
     def test_trace_report_renders_latency_and_timeline(self):
         proc = self.run_tool("trace_report.py", [
+            OBSERVABILITY_HEADER,
             OBSERVABILITY_ROW,
             "timeline,fig2,intset,rr-fa,16,0.00,10",
             "timeline,fig2,intset,rr-fa,16,5.00,12",
@@ -414,6 +335,7 @@ class CliTest(unittest.TestCase):
 class TimelineParseTest(unittest.TestCase):
     def test_trace_report_load(self):
         path = write([
+            OBSERVABILITY_HEADER,
             OBSERVABILITY_ROW,
             "timeline,fig2,intset,rr-fa,16,0.00,10",
             "timeline,fig2,intset,rr-fa,16,5.00,12",
@@ -438,7 +360,7 @@ class TimelineParseTest(unittest.TestCase):
     def test_percentile_table_suppressed_when_zero(self):
         zero_row = TELEMETRY_ROW + ",0,0,0,0,0"
         buffer = io.StringIO()
-        path = write([zero_row])
+        path = write([OBSERVABILITY_HEADER, zero_row])
         try:
             latency_rows, _ = trace_report.load(path)
             with redirect_stdout(buffer):

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""ctest-registered checks for tools/trace_report.py: the 20-column
-observability CSV (its fusion-era 22/26-column successors, and the
-scan-era 31-column kv layout) and the `timeline,...` rows must keep
-parsing, the footprint sparklines must stay deterministic, the Chrome
+"""ctest-registered checks for tools/trace_report.py: the latency block
+must be found by name from the latest `# columns:` header, header drift
+must fail the tool with the row's line number, the `timeline,...` rows
+must keep parsing, the footprint sparklines must stay deterministic, the Chrome
 trace-event summary must render (including the kv-activity — with its
 range-scan digest — and window-fusion sections), and the CLI filters
 (--figure, --width, --trace) must behave. Complements
@@ -25,23 +25,18 @@ sys.path.insert(0, str(TOOLS))
 
 import trace_report  # noqa: E402
 
-# The 20-column observability schema: 6 throughput columns, 9 telemetry
-# counters, 4 commit-latency percentiles (ns), live_peak.
+# An observability row: 6 throughput columns, 9 telemetry counters,
+# 4 commit-latency percentiles (ns), live_peak — named by OBS_HEADER.
+OBS_HEADER = ("# columns: figure,panel,series,threads,mops,cv_pct,commits,"
+              "aborts,validation,lock,user,serial_esc,revocations,"
+              "hoh_retries,res_lost,commit_p50_ns,commit_p95_ns,"
+              "commit_p99_ns,commit_max_ns,live_peak")
+
+
 def obs_row(figure="fig2", panel="intset", series="rr-fa", threads=16,
             p50=2048, p95=8192, p99=16384, pmax=30000, live_peak=512):
     return (f"{figure},{panel},{series},{threads},10.5000,0.90,"
             f"1000,50,10,20,5,3,7,4,1,"
-            f"{p50},{p95},{p99},{pmax},{live_peak}")
-
-
-# Fusion-era 22-column row (PR 6): 11 telemetry counters
-# (fusion_fallbacks in the cause block, fused_windows after res_lost)
-# ahead of the same latency block.
-def fusion_obs_row(figure="fig2", panel="intset", series="rr-fa",
-                   threads=16, p50=2048, p95=8192, p99=16384, pmax=30000,
-                   live_peak=512):
-    return (f"{figure},{panel},{series},{threads},10.5000,0.90,"
-            f"1000,50,10,20,5,3,7,4,2,1,64,"
             f"{p50},{p95},{p99},{pmax},{live_peak}")
 
 
@@ -64,8 +59,9 @@ class LoadTest(unittest.TestCase):
         finally:
             os.unlink(path)
 
-    def test_twenty_column_row_parses(self):
-        latency_rows, timelines = self.load(["# comment", obs_row()])
+    def test_latency_block_found_by_header_name(self):
+        latency_rows, timelines = self.load(["# comment", OBS_HEADER,
+                                             obs_row()])
         self.assertEqual(len(latency_rows), 1)
         self.assertEqual(len(timelines), 0)
         figure, panel, series, threads, values = latency_rows[0]
@@ -77,40 +73,18 @@ class LoadTest(unittest.TestCase):
         self.assertEqual(values["commit_max_ns"], 30000)
         self.assertEqual(values["live_peak"], 512)
 
-    def test_fusion_twenty_two_column_row_parses(self):
-        latency_rows, _ = self.load([fusion_obs_row()])
-        self.assertEqual(len(latency_rows), 1)
-        values = latency_rows[0][4]
-        self.assertEqual(values["commit_p50_ns"], 2048)
-        self.assertEqual(values["commit_max_ns"], 30000)
-        self.assertEqual(values["live_peak"], 512)
-
-    def test_fusion_twenty_six_column_row_parses(self):
-        kv_row = fusion_obs_row() + ",3800,200,96,3"
-        latency_rows, _ = self.load([kv_row])
-        self.assertEqual(len(latency_rows), 1)
-        values = latency_rows[0][4]
-        self.assertEqual(values["commit_p99_ns"], 16384)
-        self.assertEqual(values["live_peak"], 512)
-
-    def test_scan_era_thirty_one_column_row_parses(self):
-        # PR 8 kv rows: attribution pair + four kv columns + the scan
-        # triple after live_peak — the latency block does not move, and
-        # the width-31 headerless fallback finds it.
-        kv_row = fusion_obs_row() + ",9,6,3800,200,96,3,480,1320,2"
-        latency_rows, _ = self.load([kv_row])
-        self.assertEqual(len(latency_rows), 1)
-        values = latency_rows[0][4]
-        self.assertEqual(values["commit_p50_ns"], 2048)
-        self.assertEqual(values["commit_max_ns"], 30000)
-        self.assertEqual(values["live_peak"], 512)
-
     def test_short_rows_are_skipped(self):
-        # Legacy 6-column and telemetry 15-column rows have no latency
-        # data; trace_report must skip them without crashing.
+        # Rows whose header names no latency columns (the 6-column and
+        # 15-column telemetry layouts) carry no latency data;
+        # trace_report must skip them without crashing.
         latency_rows, timelines = self.load([
+            "# columns: figure,panel,series,threads,mops,cv_pct",
             "fig2,intset,rr-fa,4,12.3456,1.20",
+            "# columns: figure,panel,series,threads,mops,cv_pct,commits,"
+            "aborts,validation,lock,user,serial_esc,revocations,"
+            "hoh_retries,res_lost",
             "fig2,intset,rr-fa,8,10.5,0.9,1000,50,10,20,5,3,7,4,1",
+            OBS_HEADER,
             obs_row(),
         ])
         self.assertEqual(len(latency_rows), 1)
@@ -118,7 +92,7 @@ class LoadTest(unittest.TestCase):
 
     def test_malformed_latency_row_is_skipped(self):
         bad = obs_row().rsplit(",", 1)[0] + ",oops"
-        latency_rows, _ = self.load([bad, obs_row()])
+        latency_rows, _ = self.load([OBS_HEADER, bad, obs_row()])
         self.assertEqual(len(latency_rows), 1)
 
     def test_timeline_rows_group_by_panel_and_series(self):
@@ -179,7 +153,8 @@ class RenderTest(unittest.TestCase):
         return buffer.getvalue()
 
     def test_latency_table_converts_ns_to_us(self):
-        path = write([obs_row(p50=2000, p95=8000, p99=16000, pmax=30000)])
+        path = write([OBS_HEADER,
+                      obs_row(p50=2000, p95=8000, p99=16000, pmax=30000)])
         try:
             latency_rows, _ = trace_report.load(path)
         finally:
@@ -191,7 +166,8 @@ class RenderTest(unittest.TestCase):
         self.assertIn("512", out)     # live_peak passthrough
 
     def test_all_zero_panel_is_flagged_not_rendered(self):
-        path = write([obs_row(p50=0, p95=0, p99=0, pmax=0, live_peak=0)])
+        path = write([OBS_HEADER,
+                      obs_row(p50=0, p95=0, p99=0, pmax=0, live_peak=0)])
         try:
             latency_rows, _ = trace_report.load(path)
         finally:
@@ -201,7 +177,8 @@ class RenderTest(unittest.TestCase):
         self.assertNotIn("p50", out)
 
     def test_figure_filter(self):
-        path = write([obs_row(figure="fig2"), obs_row(figure="fig7")])
+        path = write([OBS_HEADER, obs_row(figure="fig2"),
+                      obs_row(figure="fig7")])
         try:
             latency_rows, _ = trace_report.load(path)
         finally:
@@ -378,6 +355,7 @@ class CliTest(unittest.TestCase):
 
     def test_renders_both_sections(self):
         proc = self.run_tool([
+            OBS_HEADER,
             obs_row(),
             timeline_row("fig2", "intset", "rr-fa", 16, "0.00", 10),
             timeline_row("fig2", "intset", "rr-fa", 16, "5.00", 12),
@@ -385,6 +363,12 @@ class CliTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("commit latency", proc.stdout)
         self.assertIn("footprint timeline", proc.stdout)
+
+    def test_header_drift_exits_with_line_number(self):
+        proc = self.run_tool([OBS_HEADER, obs_row(), obs_row() + ",7"])
+        self.assertEqual(proc.returncode, 1)
+        self.assertIn(":3: row has 21 columns", proc.stderr)
+        self.assertEqual(proc.stdout, "")
 
     def test_empty_input_fails(self):
         proc = self.run_tool(["# nothing to see"])
@@ -410,7 +394,8 @@ class CliTest(unittest.TestCase):
         json.dump(events, handle)
         handle.close()
         try:
-            proc = self.run_tool([obs_row()], "--trace", handle.name)
+            proc = self.run_tool([OBS_HEADER, obs_row()], "--trace",
+                                 handle.name)
         finally:
             os.unlink(handle.name)
         self.assertEqual(proc.returncode, 0, proc.stderr)

@@ -6,42 +6,13 @@ Usage:
                                      [--causes]
 
 Reads the CSV rows emitted by the bench binaries. The layout is
-*header-driven*: every bench prints a `# columns: name1,name2,...` line
-(src/harness/report.cpp), and data rows whose column count matches a
-seen header are decoded by those names — new columns appended by a
-future schema load without touching this tool.
-
-For headerless input (older captures, hand-made fixtures) the layout
-falls back to detection by column count:
-
-  legacy (6 cols):  figure,panel,series,threads,mops,cv_pct
-  telemetry (15):   figure,panel,series,threads,mops,cv_pct,commits,
-                    aborts,validation,lock,user,serial_esc,revocations,
-                    hoh_retries,res_lost
-  observability (20): the 15 telemetry columns plus commit_p50_ns,
-                    commit_p95_ns,commit_p99_ns,commit_max_ns,live_peak
-  kv (24):          the 20 observability columns plus kv_hits,kv_misses,
-                    kv_migrations,kv_resizes (see report.hpp emit_kv_row)
-  fusion (17/22/26): the same three telemetry layouts after window
-                    fusion (PR 6) widened the cause block with
-                    fusion_fallbacks and appended fused_windows after
-                    res_lost; the two column-count families are
-                    disjoint, so both generations of output load.
-  scan-era kv (31): the 26 fusion-era observability columns plus
-                    res_lost_attr,aborts_attr (PR 7), the four kv
-                    columns, and the range-scan triple kv_scans,
-                    kv_scan_windows,kv_scan_resumes (PR 8).
-  serving era (25/32/36): PR 10 appends quiescence_waits after
-                    aborts_attr in every layout (base 25, kv 32), and
-                    the net layout (36) adds net_batches,net_fused_ops,
-                    net_bytes_in,net_bytes_out after the scan triple
-                    (report.hpp emit_net_row).
-
-(The attribution-era 24/28-column layouts emitted since PR 7 always
-carry their header, so the 24-column collision with the pre-fusion kv
-layout never bites in practice; 31 is disjoint from every earlier
-width, so scan-era kv rows decode even without their header, and the
-serving-era widths {25, 32, 36} are disjoint from everything above.)
+*self-describing*: the bench prints a `# columns: name1,name2,...` line
+before the first row of every column set (src/harness/report.cpp), and
+each data row is decoded by the names of the most recent such line — new
+columns load without touching this tool. A data row with no header
+before it, or whose width differs from that header's, is header drift:
+the tool prints the row's line number and exits 1. Rows with malformed
+numeric cells are skipped (a bad telemetry cell drops just that cell).
 
 `timeline,...` rows (the reclamation-footprint samples) are skipped
 here; tools/trace_report.py renders those, along with the latency
@@ -60,149 +31,63 @@ import argparse
 import collections
 import sys
 
-CAUSE_FIELDS = [
-    "commits", "aborts", "validation", "lock", "user", "serial_esc",
-    "revocations", "hoh_retries", "res_lost",
-]
-# Post-fusion telemetry block (PR 6): fusion_fallbacks joins the abort
-# causes and fused_windows follows res_lost.
-CAUSE_FIELDS_V2 = [
-    "commits", "aborts", "validation", "lock", "user", "serial_esc",
-    "revocations", "hoh_retries", "fusion_fallbacks", "res_lost",
-    "fused_windows",
-]
-OBSERVABILITY_FIELDS = [
-    "commit_p50_ns", "commit_p95_ns", "commit_p99_ns", "commit_max_ns",
-    "live_peak",
-]
-KV_FIELDS = [
-    "kv_hits", "kv_misses", "kv_migrations", "kv_resizes",
-]
-# Causal attribution pair (PR 7) and the range-scan triple (PR 8); the
-# 31-column scan-era kv layout is the fusion-era observability columns
-# plus these and the kv block, in emit_kv_header order.
-ATTRIBUTION_FIELDS = [
-    "res_lost_attr", "aborts_attr",
-]
-KV_SCAN_FIELDS = [
-    "kv_scans", "kv_scan_windows", "kv_scan_resumes",
-]
-SCAN_ERA_KV_FIELDS = (CAUSE_FIELDS_V2 + OBSERVABILITY_FIELDS +
-                      ATTRIBUTION_FIELDS + KV_FIELDS + KV_SCAN_FIELDS)
-# Serving-era layouts (PR 10): quiescence_waits joins the base tail, and
-# the loopback bench appends the four net columns after the scan triple.
-QUIESCENCE_FIELDS = [
-    "quiescence_waits",
-]
-NET_FIELDS = [
-    "net_batches", "net_fused_ops", "net_bytes_in", "net_bytes_out",
-]
-SERVING_ERA_BASE_FIELDS = (CAUSE_FIELDS_V2 + OBSERVABILITY_FIELDS +
-                           ATTRIBUTION_FIELDS + QUIESCENCE_FIELDS)
-SERVING_ERA_KV_FIELDS = (SERVING_ERA_BASE_FIELDS + KV_FIELDS +
-                         KV_SCAN_FIELDS)
-SERVING_ERA_NET_FIELDS = SERVING_ERA_KV_FIELDS + NET_FIELDS
+
+class HeaderDrift(ValueError):
+    """A data row whose width disagrees with the latest `# columns:`
+    header (or that has no header before it)."""
 
 
-def parse_header_line(line, headers):
-    """Records a `# columns: a,b,c` header, keyed by column count (the
-    only property a data row exposes). A later header with the same
-    count — e.g. a second bench appended to the same capture — wins."""
-    names = [n.strip() for n in line.split(":", 1)[1].split(",") if n.strip()]
-    if len(names) >= 6:
-        headers[len(names)] = names
-
-
-def header_counters(parts, headers):
-    """Decode the telemetry tail of a row by the matching header's
-    column names; None when no header with this width was seen."""
-    names = headers.get(len(parts))
-    if names is None:
-        return None
-    counters = {}
-    for name, value in zip(names[6:], parts[6:]):
-        try:
-            counters[name] = int(value)
-        except ValueError:
-            pass  # non-integer telemetry cell: keep the rest
-    return counters or None
-
-
-def fallback_counters(parts):
-    """Count-based decoding for headerless rows (pre-PR-7 captures,
-    plus the scan/serving-era rows whose header got stripped — their
-    widths {31, 25, 32, 36} are disjoint from every earlier layout)."""
-    for fields in (SERVING_ERA_NET_FIELDS, SERVING_ERA_KV_FIELDS,
-                   SERVING_ERA_BASE_FIELDS):
-        if len(parts) == 6 + len(fields):
-            try:
-                return dict(zip(fields, (int(v) for v in parts[6:])))
-            except ValueError:
-                break  # malformed row: fall through to the older layouts
-    if len(parts) == 6 + len(SCAN_ERA_KV_FIELDS):  # 31: scan-era kv
-        try:
-            return dict(zip(SCAN_ERA_KV_FIELDS,
-                            (int(v) for v in parts[6:])))
-        except ValueError:
-            pass  # malformed row: fall through to the older layouts
-    # The fusion-era column counts {17, 22, 26} are disjoint
-    # from the pre-fusion {15, 20, 24}, so the count picks the
-    # cause-block width unambiguously.
-    cause_fields = (CAUSE_FIELDS_V2 if len(parts) in (17, 22, 26)
-                    else CAUSE_FIELDS)
-    counters = None
-    if len(parts) >= 6 + len(cause_fields):
-        try:
-            values = [int(v) for v in parts[6:6 + len(cause_fields)]]
-            counters = dict(zip(cause_fields, values))
-        except ValueError:
-            pass  # malformed telemetry: keep the throughput columns
-    if counters is not None and \
-            len(parts) >= 6 + len(cause_fields) + len(OBSERVABILITY_FIELDS):
-        start = 6 + len(cause_fields)
-        try:
-            values = [int(v) for v in
-                      parts[start:start + len(OBSERVABILITY_FIELDS)]]
-            counters.update(zip(OBSERVABILITY_FIELDS, values))
-        except ValueError:
-            pass  # malformed observability tail: keep the rest
-    if counters is not None and \
-            len(parts) >= 6 + len(cause_fields) + \
-            len(OBSERVABILITY_FIELDS) + len(KV_FIELDS):
-        start = 6 + len(cause_fields) + len(OBSERVABILITY_FIELDS)
-        try:
-            values = [int(v) for v in
-                      parts[start:start + len(KV_FIELDS)]]
-            counters.update(zip(KV_FIELDS, values))
-        except ValueError:
-            pass  # malformed kv tail: keep the rest
-    return counters
-
-
-def load(path):
-    rows = []
-    headers = {}
+def read_rows(path):
+    """Yields (names, parts) for each data row of a bench capture, where
+    `names` are the column names of the latest `# columns:` header, and
+    (None, parts) for each `timeline,...` row. Comments, blank lines,
+    banners and lines of fewer than six fields are not rows. Raises
+    HeaderDrift, naming the line, when a row's width does not match its
+    header."""
+    names = None
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if line.startswith("# columns:"):
-                parse_header_line(line, headers)
+                names = [n.strip() for n in line.split(":", 1)[1].split(",")
+                         if n.strip()]
                 continue
             if not line or line.startswith("#") or line.startswith("====="):
                 continue
             parts = line.split(",")
-            if len(parts) < 6 or parts[0] == "timeline":
+            if parts[0] == "timeline":
+                yield None, parts
                 continue
-            figure, panel, series, threads, mops, cv = parts[:6]
+            if len(parts) < 6:
+                continue
+            if names is None:
+                raise HeaderDrift(f"{path}:{lineno}: data row before any "
+                                  "`# columns:` header")
+            if len(parts) != len(names):
+                raise HeaderDrift(
+                    f"{path}:{lineno}: row has {len(parts)} columns but the "
+                    f"latest `# columns:` header names {len(names)}")
+            yield names, parts
+
+
+def load(path):
+    rows = []
+    for names, parts in read_rows(path):
+        if names is None:
+            continue
+        figure, panel, series, threads, mops, cv = parts[:6]
+        try:
+            threads = int(threads)
+            mops = float(mops)
+        except ValueError:
+            continue
+        counters = {}
+        for name, value in zip(names[6:], parts[6:]):
             try:
-                threads = int(threads)
-                mops = float(mops)
+                counters[name] = int(value)
             except ValueError:
-                continue
-            counters = header_counters(parts, headers)
-            if counters is None:
-                counters = fallback_counters(parts)
-            rows.append((figure, panel, series, threads, mops, counters))
+                pass  # non-integer telemetry cell: keep the rest
+        rows.append((figure, panel, series, threads, mops, counters or None))
     return rows
 
 
@@ -334,10 +219,11 @@ def emit_kv_table(figure, panel, series_list, threads, counter_cells):
 
 
 def emit_net_table(figure, panel, series_list, threads, counter_cells):
-    """Serving-tier columns (PR 10, the kv_loopback bench): pipeline
-    batches submitted through the ring, ops committed inside fused
-    same-shard groups (with ops-per-batch and the fused share of the
-    keyed ops), and raw wire traffic."""
+    """Serving-tier columns (the kv_loopback bench): pipeline batches
+    (one per pipeline read, whether it ran inline on the event loop or
+    through a worker), ops committed inside fused same-shard groups
+    (with ops-per-batch and the fused share of the keyed ops), and raw
+    wire traffic."""
     have = [(s, counter_cells.get((figure, panel, s, threads)))
             for s in series_list]
     have = [(s, c) for s, c in have if c and "net_batches" in c]
@@ -367,7 +253,11 @@ def main():
     parser.add_argument("--causes", action="store_true",
                         help="force the abort-attribution tables")
     args = parser.parse_args()
-    rows = load(args.path)
+    try:
+        rows = load(args.path)
+    except HeaderDrift as drift:
+        print(f"header drift: {drift}", file=sys.stderr)
+        return 1
     if not rows:
         print("no bench rows found", file=sys.stderr)
         return 1

@@ -11,10 +11,9 @@ Reads the same CSV the bench binaries print and renders:
 
   * one commit-latency table per figure/panel (p50/p95/p99/max in
     microseconds, per series and thread count) from the observability
-    columns. The latency block is located by name from the bench's
-    `# columns:` header line, so appended columns never shift it; for
-    headerless captures the column count falls back to the historical
-    layouts (20/24 pre-fusion, 22/26 fusion-era, 31 scan-era kv).
+    columns, located by name from the latest `# columns:` header line
+    (rows are read as in summarize_bench.py: a row whose width disagrees
+    with its header is header drift, reported by line number, exit 1).
     All-zero unless the bench was built with HOHTM_TRACE=ON;
 
   * one footprint chart per figure/panel from the `timeline,...` rows
@@ -35,6 +34,8 @@ import json
 import os
 import sys
 
+from summarize_bench import HeaderDrift, read_rows
+
 LATENCY_COLS = ("commit_p50_ns", "commit_p95_ns", "commit_p99_ns",
                 "commit_max_ns")
 SPARK = "▁▂▃▄▅▆▇█"
@@ -48,58 +49,30 @@ def load(path):
     """
     latency_rows = []
     timelines = collections.defaultdict(lambda: collections.defaultdict(list))
-    headers = {}  # column count -> column names, from `# columns:` lines
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line.startswith("# columns:"):
-                names = [n.strip() for n in line.split(":", 1)[1].split(",")
-                         if n.strip()]
-                if len(names) >= 6:
-                    headers[len(names)] = names
+    for names, parts in read_rows(path):
+        if names is None:
+            if len(parts) < 7:
                 continue
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if parts[0] == "timeline" and len(parts) >= 7:
-                _, figure, panel, series, threads, t, live = parts[:7]
-                try:
-                    timelines[(figure, panel)][(series, int(threads))].append(
-                        (float(t), int(live)))
-                except ValueError:
-                    continue
-                continue
-            # Locate the latency block by name when the capture carried a
-            # header for this width; otherwise fall back to the
-            # historical count-based layouts (the fusion-era 22/26-column
-            # rows carry two extra telemetry columns ahead of it, and the
-            # 31-column scan-era kv rows and the serving-era 25/32/36
-            # rows only append after live_peak; see summarize_bench.py
-            # CAUSE_FIELDS_V2 / SCAN_ERA_KV_FIELDS / SERVING_ERA_*).
-            names = headers.get(len(parts))
-            if names is not None and LATENCY_COLS[0] in names:
-                lat_start = names.index(LATENCY_COLS[0])
-                peak_at = (names.index("live_peak")
-                           if "live_peak" in names else lat_start + 4)
-            elif len(parts) in (22, 26, 31, 25, 32, 36):
-                lat_start, peak_at = 17, 21
-            elif len(parts) in (20, 24):
-                lat_start, peak_at = 15, 19
-            else:
-                continue
-            if len(parts) <= max(lat_start + 3, peak_at):
-                continue
-            figure, panel, series, threads = parts[:4]
+            _, figure, panel, series, threads, t, live = parts[:7]
             try:
-                threads = int(threads)
-                values = dict(zip(LATENCY_COLS,
-                                  (int(v) for v in
-                                   parts[lat_start:lat_start + 4])))
-                live_peak = int(parts[peak_at])
+                timelines[(figure, panel)][(series, int(threads))].append(
+                    (float(t), int(live)))
             except ValueError:
-                continue
-            values["live_peak"] = live_peak
-            latency_rows.append((figure, panel, series, threads, values))
+                pass
+            continue
+        if LATENCY_COLS[0] not in names or "live_peak" not in names:
+            continue
+        lat_start = names.index(LATENCY_COLS[0])
+        figure, panel, series, threads = parts[:4]
+        try:
+            threads = int(threads)
+            values = dict(zip(LATENCY_COLS,
+                              (int(v) for v in
+                               parts[lat_start:lat_start + 4])))
+            values["live_peak"] = int(parts[names.index("live_peak")])
+        except ValueError:
+            continue
+        latency_rows.append((figure, panel, series, threads, values))
     return latency_rows, timelines
 
 
@@ -288,10 +261,14 @@ def main():
     parser.add_argument("--width", type=int, default=60,
                         help="footprint chart width in characters")
     args = parser.parse_args()
-    latency_rows, timelines = load(args.path)
+    try:
+        latency_rows, timelines = load(args.path)
+    except HeaderDrift as drift:
+        print(f"header drift: {drift}", file=sys.stderr)
+        return 1
     if not latency_rows and not timelines and not args.trace:
-        print("no observability rows found (need the 20/22-column schema "
-              "or timeline rows)", file=sys.stderr)
+        print("no observability rows found (need the commit-latency "
+              "columns or timeline rows)", file=sys.stderr)
         return 1
     emit_latency_tables(latency_rows, args.figure)
     emit_footprint_charts(timelines, args.figure, args.width)
