@@ -172,10 +172,10 @@ ClientTally run_client(const NetCellConfig& cfg, std::uint16_t port,
 
 /// One loopback cell: per trial, a fresh prefilled store behind a
 /// Service and a Server, and `connections` clients under
-/// harness::run_timed. `inline_batches`, when given, accumulates the
-/// batches the event loop ran inline (a subset of net_batches).
+/// harness::run_timed. `loop`, when given, accumulates the event loop's
+/// inline batches (a subset of net_batches), parks and polls.
 CellResult run_net_cell(const NetCellConfig& cfg,
-                        std::uint64_t* inline_batches = nullptr) {
+                        Server::Counters* loop = nullptr) {
   CellResult cell;
   for (int trial = 0; trial < cfg.trials; ++trial) {
     const long long live_baseline = hohtm::reclaim::Gauge::live();
@@ -216,7 +216,11 @@ CellResult run_net_cell(const NetCellConfig& cfg,
     cell.add("net_fused_ops", sc.fused_ops);
     cell.add("net_bytes_in", sc.bytes_in);
     cell.add("net_bytes_out", sc.bytes_out);
-    if (inline_batches != nullptr) *inline_batches += sc.inline_batches;
+    if (loop != nullptr) {
+      loop->inline_batches += sc.inline_batches;
+      loop->loop_parks += sc.loop_parks;
+      loop->loop_polls += sc.loop_polls;
+    }
     cell.add_trial(run, sum.done, live_baseline);
   }
   return cell;
@@ -247,7 +251,8 @@ void run_panel(const BenchEnv& env, Mix mix) {
 /// kMaxDepth1Commits per op (the slack covers the cell's few non-op
 /// transactions); a per-op probe transaction would read 2.0 or more.
 /// The inline rule holds too: every depth-1 batch is one op and runs on
-/// the loop thread, and no depth-16 batch does.
+/// the loop thread, and no depth-16 batch does. Event-loop parks and
+/// polls per batch are printed, not gated: they follow wall-clock time.
 int run_fusion_gate() {
   constexpr double kMaxDepth1Commits = 1.001;
   NetCellConfig cfg;
@@ -260,12 +265,12 @@ int run_fusion_gate() {
   cfg.frozen_single_shard = true;
 
   cfg.pipeline = 1;
-  std::uint64_t inline1 = 0;
-  const CellResult d1 = run_net_cell(cfg, &inline1);
+  Server::Counters loop1;
+  const CellResult d1 = run_net_cell(cfg, &loop1);
   hohtm::harness::emit_row("net", "smoke-A", "depth-1", 1, d1);
   cfg.pipeline = 16;
-  std::uint64_t inline16 = 0;
-  const CellResult d16 = run_net_cell(cfg, &inline16);
+  Server::Counters loop16;
+  const CellResult d16 = run_net_cell(cfg, &loop16);
   hohtm::harness::emit_row("net", "smoke-A", "depth-16", 1, d16);
 
   // Each connection completes at most what it was asked for, so a cell
@@ -303,6 +308,8 @@ int run_fusion_gate() {
                  "net smoke: depth-16 pipeline recorded no fused ops\n");
     return 1;
   }
+  const std::uint64_t inline1 = loop1.inline_batches;
+  const std::uint64_t inline16 = loop16.inline_batches;
   if (inline1 != batches1 || inline16 != 0) {
     std::fprintf(stderr,
                  "net smoke: inline rule broken (depth 1: %llu of %llu "
@@ -341,6 +348,17 @@ int run_fusion_gate() {
       static_cast<unsigned long long>(fused16),
       static_cast<unsigned long long>(batches16),
       static_cast<unsigned long long>(inline1));
+  const auto per_batch = [](std::uint64_t n, std::uint64_t batches) {
+    return static_cast<double>(n) /
+           static_cast<double>(batches > 0 ? batches : 1);
+  };
+  std::printf(
+      "# net smoke loop: per batch %.3f parks, %.1f polls at depth 1; "
+      "%.3f parks, %.1f polls at depth 16\n",
+      per_batch(loop1.loop_parks, batches1),
+      per_batch(loop1.loop_polls, batches1),
+      per_batch(loop16.loop_parks, batches16),
+      per_batch(loop16.loop_polls, batches16));
   return 0;
 }
 

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "kv/service.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "util/backoff.hpp"
 #include "util/metrics.hpp"
 
 namespace hohtm::net {
@@ -33,7 +35,14 @@ namespace hohtm::net {
 /// order. A batch of several ops, a scan, or a STATS goes through the
 /// ring to a worker; a batch of exactly one GET, PUT or DEL cannot fuse,
 /// so the loop runs it itself (Service::run_here) and skips the ring hop
-/// and the eventfd round trip. Backpressure is a bounded in-flight-op
+/// and the eventfd round trip. After any socket event or harvested
+/// completion the loop polls (epoll_wait with a zero timeout, harvesting
+/// on every pass) until kPollWindowNs passes with nothing new, and only
+/// then parks in a blocking epoll_wait: the next request of a depth-1
+/// client then finds the loop awake instead of paying a thread wake-up.
+/// The window runs from the last event, never from "a batch is in
+/// flight", so an idle client or a stalled worker lets the loop park
+/// within one window. Backpressure is a bounded in-flight-op
 /// window per connection: when it fills, the connection's EPOLLIN is
 /// dropped until completions drain, so a client that outruns the store
 /// parks in its socket buffer instead of ballooning server memory.
@@ -67,17 +76,29 @@ class Server {
     std::uint64_t rejected_frames = 0;  // oversized / malformed
     std::uint64_t timeouts = 0;         // idle connections reaped
     std::uint64_t max_inflight = 0;     // high-water in-flight ops, any conn
+    std::uint64_t loop_parks = 0;  // blocking epoll_wait calls
+    std::uint64_t loop_polls = 0;  // zero-timeout epoll_wait passes
   };
+
+  /// How long the loop keeps polling after the last event before it
+  /// parks. On a 4-vCPU Firecracker guest (no cpuidle driver, so an idle
+  /// vCPU halts) waking a thread blocked on it costs ~10 us; a loopback
+  /// ping-pong took 30-31 us per round trip against a server blocked in
+  /// epoll_wait and 18-22 us against one polling. 50 us and 200 us both
+  /// kept that gain on perfbench serve-rw-d1; 25 us was too short (p90
+  /// 37-41 us vs 30-32 us at 200 us). The price is at most one window of
+  /// one core's time per burst of traffic.
+  static constexpr std::uint64_t kPollWindowNs = 200'000;
 
   Server(kv::Service<TM, RR>& service, Options opt)
       : service_(service), opt_(opt) {
     listen_fd_ = listen_tcp(opt_.port, &port_);
-    wake_fd_ = make_eventfd();
+    wake_.fd = make_eventfd();
     epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-    ok_ = listen_fd_ >= 0 && wake_fd_ >= 0 && epoll_fd_ >= 0;
+    ok_ = listen_fd_ >= 0 && wake_.fd >= 0 && epoll_fd_ >= 0;
     if (ok_) {
       arm(listen_fd_, EPOLLIN);
-      arm(wake_fd_, EPOLLIN);
+      arm(wake_.fd, EPOLLIN);
       loop_ = std::thread([this] { run(); });
     }
   }
@@ -101,9 +122,21 @@ class Server {
     loop_.join();
     for (auto& [fd, conn] : conns_) teardown(*conn);
     conns_.clear();
+    // A worker past its Completion's release store may not have written
+    // the eventfd yet; closing it now would let that write land in
+    // whatever descriptor reuses the number. Wait out every such hook.
+    util::Backoff backoff;
+    while (wake_.hooks_pending.load(std::memory_order_acquire) != 0)
+      backoff.pause();
     ::close(listen_fd_);
-    ::close(wake_fd_);
+    ::close(wake_.fd);
     ::close(epoll_fd_);
+  }
+
+  /// Test-only: runs on the worker inside every ring batch's wake hook,
+  /// before its eventfd write. Set before the first request.
+  void set_wake_delay_for_testing(std::function<void()> delay) {
+    wake_.delay_for_testing = std::move(delay);
   }
 
   Counters counters() const noexcept {
@@ -119,6 +152,8 @@ class Server {
     out.rejected_frames = c_rejected_.load(std::memory_order_relaxed);
     out.timeouts = c_timeouts_.load(std::memory_order_relaxed);
     out.max_inflight = c_max_inflight_.load(std::memory_order_relaxed);
+    out.loop_parks = c_loop_parks_.load(std::memory_order_relaxed);
+    out.loop_polls = c_loop_polls_.load(std::memory_order_relaxed);
     return out;
   }
 
@@ -153,16 +188,32 @@ class Server {
         : fd(f), dec(max_frame), last_in_ns(now) {}
   };
 
+  /// What a ring batch's wake hook points at: the eventfd, and the count
+  /// of ring batches whose hook has not returned (stop() waits for zero
+  /// before it closes the eventfd).
+  struct Wake {
+    int fd = -1;
+    std::atomic<std::uint64_t> hooks_pending{0};
+    std::function<void()> delay_for_testing;
+  };
+
   /// Completion::on_signal hook: one eventfd write. Touches only the
-  /// argument (the Completion may be concurrently harvested and freed).
+  /// Wake (the Completion may be concurrently harvested and freed), and
+  /// the decrement is its last touch: once it lands, stop() may close
+  /// the eventfd and the Server may be destroyed.
   static void wake_hook(void* arg) {
-    const int fd = static_cast<int>(reinterpret_cast<std::intptr_t>(arg));
+    Wake& wake = *static_cast<Wake*>(arg);
+    if (wake.delay_for_testing) wake.delay_for_testing();
+    write_wake(wake.fd);
+    wake.hooks_pending.fetch_sub(1, std::memory_order_release);
+  }
+
+  static void write_wake(int fd) {
     const std::uint64_t one = 1;
     [[maybe_unused]] const ssize_t r = ::write(fd, &one, sizeof(one));
   }
 
-  void kick() { wake_hook(reinterpret_cast<void*>(
-      static_cast<std::intptr_t>(wake_fd_))); }
+  void kick() { write_wake(wake_.fd); }
 
   void arm(int fd, std::uint32_t events) {
     epoll_event ev{};
@@ -191,14 +242,26 @@ class Server {
     const int kMetricInline =
         util::MetricsRegistry::counter("net.inline_batches");
     const int kMetricFused = util::MetricsRegistry::counter("net.fused_ops");
+    const int kMetricParks = util::MetricsRegistry::counter("net.loop_parks");
+    const int kMetricPolls = util::MetricsRegistry::counter("net.loop_polls");
     metric_bytes_in_ = kMetricBytesIn;
     metric_bytes_out_ = kMetricBytesOut;
     metric_batches_ = kMetricBatches;
     metric_inline_ = kMetricInline;
     metric_fused_ = kMetricFused;
     std::vector<epoll_event> events(64);
+    bool polling = false;
+    std::uint64_t last_event_ns = 0;
     while (!stop_.load(std::memory_order_acquire)) {
-      const int timeout_ms = next_timeout_ms();
+      int timeout_ms = 0;
+      if (polling) {
+        c_loop_polls_.fetch_add(1, std::memory_order_relaxed);
+        util::MetricsRegistry::add(kMetricPolls);
+      } else {
+        timeout_ms = next_timeout_ms();
+        c_loop_parks_.fetch_add(1, std::memory_order_relaxed);
+        util::MetricsRegistry::add(kMetricParks);
+      }
       const int n =
           epoll_wait(epoll_fd_, events.data(),
                      static_cast<int>(events.size()), timeout_ms);
@@ -207,7 +270,7 @@ class Server {
         const int fd = events[i].data.fd;
         if (fd == listen_fd_) {
           accept_ready();
-        } else if (fd == wake_fd_) {
+        } else if (fd == wake_.fd) {
           drain_wake();
           harvest_all();
         } else {
@@ -224,9 +287,20 @@ class Server {
           if (done_closing(c)) close_conn(c);
         }
       }
-      // Completions may have signalled while we were handling sockets.
-      harvest_all();
+      // Completions may have signalled while we were handling sockets,
+      // or, while polling, before their eventfd write.
+      const bool harvested = harvest_all();
       reap_idle();
+      // Poll until one window passes with no event, then park.
+      if (n > 0 || harvested) {
+        polling = true;
+        last_event_ns = monotonic_ns();
+      } else if (polling) {
+        if (monotonic_ns() - last_event_ns >= kPollWindowNs)
+          polling = false;
+        else
+          util::cpu_relax();
+      }
     }
   }
 
@@ -258,7 +332,7 @@ class Server {
   /// One read resets the (non-semaphore) eventfd counter to zero.
   void drain_wake() {
     std::uint64_t buf = 0;
-    [[maybe_unused]] const ssize_t r = ::read(wake_fd_, &buf, sizeof(buf));
+    [[maybe_unused]] const ssize_t r = ::read(wake_.fd, &buf, sizeof(buf));
   }
 
   void read_ready(Conn& c) {
@@ -412,32 +486,35 @@ class Server {
       return false;
     }
     b.done.on_signal = &Server::wake_hook;
-    b.done.on_signal_arg =
-        reinterpret_cast<void*>(static_cast<std::intptr_t>(wake_fd_));
+    b.done.on_signal_arg = &wake_;
+    wake_.hooks_pending.fetch_add(1, std::memory_order_relaxed);
     service_.submit(std::move(req));
     return true;
   }
 
-  void harvest_all() {
+  /// Harvest every connection; true if any batch had completed.
+  bool harvest_all() {
+    bool any = false;
     std::vector<int> done_fds;
     for (auto& [fd, conn] : conns_) {
-      harvest(*conn);
+      any = harvest(*conn) || any;
       if (done_closing(*conn)) done_fds.push_back(fd);
     }
     for (const int fd : done_fds) {
       auto it = conns_.find(fd);
       if (it != conns_.end()) close_conn(*it->second);
     }
+    return any;
   }
 
-  /// Answer the connection's batch if it has signalled, then start the
-  /// next one, resume reading, and flush. Never closes the connection
+  /// Answer the connection's batch if it has signalled (true), then start
+  /// the next one, resume reading, and flush. Never closes the connection
   /// (callers check done_closing afterward, outside any iteration over
   /// the connection map).
-  void harvest(Conn& c) {
+  bool harvest(Conn& c) {
     if (c.inflight == 0 ||
         c.batch.done.state.load(std::memory_order_acquire) != 1)
-      return;
+      return false;
     collect(c);
     pump(c);
     finish_reject(c);
@@ -449,6 +526,7 @@ class Server {
       rearm(c);
     }
     flush(c);
+    return true;
   }
 
   /// Encode the signalled batch's responses, in op order — with one batch
@@ -560,7 +638,7 @@ class Server {
   kv::Service<TM, RR>& service_;
   Options opt_;
   int listen_fd_ = -1;
-  int wake_fd_ = -1;
+  Wake wake_;
   int epoll_fd_ = -1;
   std::uint16_t port_ = 0;
   bool ok_ = false;
@@ -583,6 +661,8 @@ class Server {
   std::atomic<std::uint64_t> c_rejected_{0};
   std::atomic<std::uint64_t> c_timeouts_{0};
   std::atomic<std::uint64_t> c_max_inflight_{0};
+  std::atomic<std::uint64_t> c_loop_parks_{0};
+  std::atomic<std::uint64_t> c_loop_polls_{0};
 };
 
 }  // namespace hohtm::net

@@ -2,16 +2,22 @@
 // (docs/SERVING.md): pipelined multi-connection runs checked against a
 // std::map differential oracle, in-order completion, per-connection
 // backpressure, torn writes, oversized-frame rejection, idle timeout,
-// and the stalled-client reclamation scenario — a connection parked
-// mid-pipeline must leave the reclamation-stall watchdog clean and the
-// footprint Gauge-exact while other clients churn.
+// the event loop's poll-then-park rule, the wake hook's eventfd
+// lifetime, and the stalled-client reclamation scenario — a connection
+// parked mid-pipeline must leave the reclamation-stall watchdog clean
+// and the footprint Gauge-exact while other clients churn.
 
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/eventfd.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +44,42 @@ kv::Store<TM, RR>::Options small_store() {
   opt.fusion_cap = 8;
   return opt;
 }
+
+/// Block the calling thread for `d` on a condition-variable deadline.
+void idle_for(std::chrono::milliseconds d) {
+  std::mutex m;
+  std::condition_variable cv;
+  std::unique_lock<std::mutex> lock(m);
+  cv.wait_for(lock, d, [] { return false; });
+}
+
+/// A one-shot barrier a hook can park in: the hooked thread calls
+/// hold(), which reports entry and blocks until release().
+class Gate {
+ public:
+  void hold() {
+    std::unique_lock<std::mutex> lock(m_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+  bool wait_entered() {
+    std::unique_lock<std::mutex> lock(m_);
+    return cv_.wait_for(lock, std::chrono::seconds(10),
+                        [this] { return entered_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(m_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
 
 TEST(NetLoopback, RoundTripEveryOpcode) {
   Store store(small_store());
@@ -297,6 +339,153 @@ TEST(NetLoopback, IdleConnectionTimesOut) {
   EXPECT_GE(server.counters().timeouts, 1u);
   server.stop();
   svc.stop();
+}
+
+// Poll before parking, bounded: after serving traffic the loop polls
+// for one window and then parks, so an idle server makes no zero-timeout
+// passes (a window that never expired would keep loop_polls growing and
+// never park again).
+TEST(NetLoopback, IdleServerParks) {
+  Store store(small_store());
+  Service svc(store, 1);
+  Server server(svc, Server::Options{});
+  ASSERT_TRUE(server.ok());
+
+  net::Client client;
+  ASSERT_TRUE(client.connect(server.port()));
+  const std::uint64_t parks_before = server.counters().loop_parks;
+  net::NetResponse r;
+  for (int i = 0; i < 8; ++i) {  // inline single ops
+    client.queue_put("idle" + std::to_string(i), "v");
+    ASSERT_GT(client.flush(), 0u);
+    ASSERT_TRUE(client.recv(r));
+  }
+  client.queue_get("idle0");  // and one ring batch
+  client.queue_get("idle1");
+  ASSERT_GT(client.flush(), 0u);
+  ASSERT_TRUE(client.recv(r));
+  ASSERT_TRUE(client.recv(r));
+
+  // Let the window lapse: wait (bounded) until loop_polls holds still.
+  Server::Counters settled = server.counters();
+  for (int i = 0; i < 200; ++i) {
+    idle_for(std::chrono::milliseconds(5));
+    const Server::Counters now = server.counters();
+    if (now.loop_polls == settled.loop_polls) break;
+    settled = now;
+  }
+  idle_for(std::chrono::milliseconds(30));
+  const Server::Counters after = server.counters();
+  EXPECT_EQ(after.loop_polls, settled.loop_polls);
+  EXPECT_GT(settled.loop_parks, parks_before);
+  EXPECT_GT(after.loop_polls, 0u);
+  server.stop();
+  svc.stop();
+}
+
+// A ring batch whose worker is held mid-transaction for longer than the
+// poll window: the loop parks during the hold, and the completion still
+// reaches it through the worker's eventfd write, answered in order. The
+// loop's fallback wake is its 100 ms park timeout, so a response within
+// 50 ms of the release came through the eventfd.
+TEST(NetLoopback, RingBatchOutlivingPollWindowIsAnswered) {
+  auto opt = small_store();
+  opt.fusion_cap = 0;  // every batch op runs its own transaction
+  Store store(opt);
+  Gate gate;
+  std::atomic<bool> held{false};
+  store.set_fail_hook_for_testing([&] {
+    if (!held.exchange(true, std::memory_order_relaxed)) gate.hold();
+  });
+  Service svc(store, 1);
+  Server server(svc, Server::Options{});
+  ASSERT_TRUE(server.ok());
+
+  net::Client client;
+  ASSERT_TRUE(client.connect(server.port()));
+  const std::uint32_t s1 = client.queue_put("held-a", "1");
+  const std::uint32_t s2 = client.queue_put("held-b", "2");
+  ASSERT_GT(client.flush(), 0u);
+  ASSERT_TRUE(gate.wait_entered());
+  const std::uint64_t parks_at_hold = server.counters().loop_parks;
+  for (int i = 0; i < 1000; ++i) {
+    if (server.counters().loop_parks > parks_at_hold) break;
+    idle_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t parks_in_hold =
+      server.counters().loop_parks - parks_at_hold;
+  EXPECT_GE(parks_in_hold, 1u);
+  EXPECT_EQ(server.counters().batches, 1u);
+  EXPECT_EQ(server.counters().inline_batches, 0u);
+
+  const auto released = std::chrono::steady_clock::now();
+  gate.release();
+  net::NetResponse r;
+  ASSERT_TRUE(client.recv(r));
+  EXPECT_EQ(r.seq, s1);
+  EXPECT_EQ(r.status, net::WireStatus::kOk);
+  EXPECT_TRUE(r.created);
+  ASSERT_TRUE(client.recv(r));
+  const auto answered = std::chrono::steady_clock::now();
+  EXPECT_EQ(r.seq, s2);
+  EXPECT_EQ(r.status, net::WireStatus::kOk);
+  EXPECT_TRUE(r.created);
+  EXPECT_LT(answered - released, std::chrono::milliseconds(50));
+  server.stop();
+  svc.stop();
+}
+
+// A worker signals a ring batch's Completion and only then runs the wake
+// hook's eventfd write. stop() must not close the eventfd in between:
+// the number could be reused and the write would land in a stranger's
+// descriptor. Hold a hook before its write, let stop() run, claim every
+// descriptor number it could have freed, then release the hook: none of
+// the claimed descriptors may receive the write.
+TEST(NetLoopback, StopWaitsForWakeHookBeforeClosingEventfd) {
+  Store store(small_store());
+  Service svc(store, 1);
+  Server server(svc, Server::Options{});
+  ASSERT_TRUE(server.ok());
+  Gate gate;
+  server.set_wake_delay_for_testing([&] { gate.hold(); });
+
+  net::Client client;
+  ASSERT_TRUE(client.connect(server.port()));
+  client.queue_put("hook-a", "1");
+  client.queue_put("hook-b", "2");
+  ASSERT_GT(client.flush(), 0u);
+  ASSERT_TRUE(gate.wait_entered());
+  net::NetResponse r;
+  ASSERT_TRUE(client.recv(r));  // harvested by polling or the park timeout
+  ASSERT_TRUE(client.recv(r));
+
+  std::mutex m;
+  std::condition_variable cv;
+  bool stopped = false;
+  std::thread stopper([&] {
+    server.stop();
+    std::lock_guard<std::mutex> lock(m);
+    stopped = true;
+    cv.notify_all();
+  });
+  {
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait_for(lock, std::chrono::milliseconds(50), [&] { return stopped; });
+    EXPECT_FALSE(stopped);  // still waiting for the held hook
+  }
+  std::vector<int> probes;
+  for (int i = 0; i < 16; ++i)
+    probes.push_back(eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+  gate.release();
+  stopper.join();
+  svc.stop();  // joins the worker: its hook has returned
+  for (const int fd : probes) {
+    ASSERT_GE(fd, 0);
+    std::uint64_t count = 0;
+    EXPECT_LT(::read(fd, &count, sizeof(count)), 0)
+        << "a wake write landed in reused descriptor " << fd;
+    ::close(fd);
+  }
 }
 
 // The serving-robustness story: a client parked mid-pipeline holds no

@@ -183,6 +183,8 @@ class RenderCliTest(unittest.TestCase):
         doc = snapshot()
         doc["counters"].update({"net.batches": 250, "net.fused_ops": 3985,
                                 "net.inline_batches": 12,
+                                "net.loop_parks": 40,
+                                "net.loop_polls": 91234,
                                 "net.bytes_in": 292988,
                                 "net.bytes_out": 187515})
         proc = self.run_tool(doc)
@@ -192,6 +194,8 @@ class RenderCliTest(unittest.TestCase):
                       proc.stdout)
         self.assertIn("inline batches: 12 (single-op, run on the event loop)",
                       proc.stdout)
+        self.assertIn("event loop: 40 parks (0.160 per batch), "
+                      "91234 polls", proc.stdout)
         self.assertIn("wire: 292988 bytes in, 187515 bytes out",
                       proc.stdout)
 
