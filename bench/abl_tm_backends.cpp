@@ -6,8 +6,28 @@
 // workload (10-bit keys, 33% lookups, RR-V) under each backend.
 //
 // Expected shape: GLock flat-lines (serial); TML scales for read-heavy
-// mixes only (single writer); NOrec and TL2 scale and track each other,
-// which is why NOrec is the default for the figure benches.
+// mixes only (single writer).
+//
+// Measured (4-vCPU VM, 50k ops per thread, three alternating runs each,
+// min-max Mops), before -> after RR-V's cells became owner-private
+// (tm::PrivateCell), which lets a window that only moves its reservation
+// commit as a reader instead of taking the commit seqlock or clock:
+//
+//   10bit-33pct     1 thread      2 threads     4 threads
+//   norec  before   0.128-0.134   0.112-0.136   0.106-0.123
+//          after    0.105-0.146   0.197-0.235   0.341-0.406
+//   tl2    before   0.143-0.190   0.168-0.224   0.251-0.301
+//          after    0.125-0.194   0.204-0.248   0.403-0.526
+//   10bit-80pct
+//   norec  before   0.114-0.142   0.115-0.129   0.113-0.127
+//          after    0.114-0.154   0.227-0.243   0.429-0.489
+//   tl2    before   0.118-0.208   0.173-0.241   0.326-0.367
+//          after    0.157-0.213   0.268-0.368   0.477-0.645
+//
+// Before, NOrec got no faster with threads: every window was a writer
+// commit. After, NOrec and TL2 both scale 1 -> 4 threads; TL2 stays
+// ahead at 4, by ~1.2x instead of ~2.4x. Which backend the figure
+// benches should default to is still open.
 #include <memory>
 
 #include "bench_common.hpp"

@@ -24,6 +24,8 @@ namespace hohtm::rr {
 
 /// Relaxed multi-reservation: versioned, like RR-V. Each held reference
 /// stores the version counter observed at reserve time; Get re-checks it.
+/// As in RR-V, the per-thread entries are PrivateCells (only their owner
+/// reads them) and the version counters stay transactional.
 template <class TM, std::size_t kCapacity = 4>
 class MultiRrV {
  public:
@@ -42,7 +44,7 @@ class MultiRrV {
   void register_thread(Tx& tx) {
     if (generations_.is_registered(tx)) return;
     for (auto& entry : mine().entries)
-      tx.write(entry.ref, static_cast<Ref>(nullptr));
+      tx.write_private(entry.ref, static_cast<Ref>(nullptr));
     generations_.mark_registered(tx);
   }
 
@@ -52,15 +54,15 @@ class MultiRrV {
   bool reserve(Tx& tx, Ref ref) {
     Cell& cell = mine();
     for (auto& entry : cell.entries) {  // already held: refresh version
-      if (tx.read(entry.ref) == ref) {
-        tx.write(entry.version, tx.read(versions_[slot_of(ref)]));
+      if (tx.read_private(entry.ref) == ref) {
+        tx.write_private(entry.version, tx.read(versions_[slot_of(ref)]));
         return true;
       }
     }
     for (auto& entry : cell.entries) {
-      if (tx.read(entry.ref) == nullptr) {
-        tx.write(entry.version, tx.read(versions_[slot_of(ref)]));
-        tx.write(entry.ref, ref);
+      if (tx.read_private(entry.ref) == nullptr) {
+        tx.write_private(entry.version, tx.read(versions_[slot_of(ref)]));
+        tx.write_private(entry.ref, ref);
         return true;
       }
     }
@@ -70,22 +72,22 @@ class MultiRrV {
   /// Removes `ref` from the caller's set (no-op if absent).
   void release(Tx& tx, Ref ref) {
     for (auto& entry : mine().entries) {
-      if (tx.read(entry.ref) == ref)
-        tx.write(entry.ref, static_cast<Ref>(nullptr));
+      if (tx.read_private(entry.ref) == ref)
+        tx.write_private(entry.ref, static_cast<Ref>(nullptr));
     }
   }
 
   void release_all(Tx& tx) {
     for (auto& entry : mine().entries)
-      tx.write(entry.ref, static_cast<Ref>(nullptr));
+      tx.write_private(entry.ref, static_cast<Ref>(nullptr));
   }
 
   /// Listing 1 semantics: `ref` if it is in the caller's set (and its
   /// slot has not been revoked since), nil otherwise.
   Ref get(Tx& tx, Ref ref) {
     for (auto& entry : mine().entries) {
-      if (tx.read(entry.ref) == ref) {
-        if (tx.read(versions_[slot_of(ref)]) != tx.read(entry.version))
+      if (tx.read_private(entry.ref) == ref) {
+        if (tx.read(versions_[slot_of(ref)]) != tx.read_private(entry.version))
           return nullptr;  // revoked (or hash-collided revoke: relaxed)
         return ref;
       }
@@ -103,14 +105,14 @@ class MultiRrV {
   std::size_t held(Tx& tx) {
     std::size_t count = 0;
     for (auto& entry : mine().entries)
-      if (tx.read(entry.ref) != nullptr) ++count;
+      if (tx.read_private(entry.ref) != nullptr) ++count;
     return count;
   }
 
  private:
   struct Entry {
-    Ref ref = nullptr;
-    std::uint64_t version = 0;
+    tm::PrivateCell<Ref> ref;
+    tm::PrivateCell<std::uint64_t> version;
   };
   struct Cell {
     Entry entries[kCapacity];

@@ -199,24 +199,27 @@ inline void note_get(Ref ref) noexcept {
 /// recorded generation differs from the calling thread's". A reservation
 /// object whose slot was inherited from a dead thread must scrub that
 /// slot's state (a stale reservation would hand the new thread a dangling
-/// reference). Writes go through the transaction so aborted registrations
-/// unwind.
+/// reference). Only the slot's owner reads its stamp, so the stamps are
+/// PrivateCells: the per-window check adds nothing to the read set, and
+/// an aborted registration still unwinds its stamp.
 class SlotGenerations {
  public:
   template <class Tx>
-  bool is_registered(Tx& tx) const {
-    return tx.read(gen_[util::ThreadRegistry::slot()].value) ==
-           util::ThreadRegistry::generation();
+  bool is_registered(Tx& tx) {
+    return tx.read_private(mine()) == util::ThreadRegistry::generation();
   }
 
   template <class Tx>
   void mark_registered(Tx& tx) {
-    tx.write(gen_[util::ThreadRegistry::slot()].value,
-             util::ThreadRegistry::generation());
+    tx.write_private(mine(), util::ThreadRegistry::generation());
   }
 
  private:
-  util::CachePadded<std::uint64_t> gen_[util::kMaxThreads];
+  tm::PrivateCell<std::uint64_t>& mine() noexcept {
+    return gen_[util::ThreadRegistry::slot()].value;
+  }
+
+  util::CachePadded<tm::PrivateCell<std::uint64_t>> gen_[util::kMaxThreads];
 };
 
 }  // namespace hohtm::rr

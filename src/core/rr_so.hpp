@@ -15,7 +15,8 @@ namespace hohtm::rr {
 /// assigned array, so up to A threads can concurrently hold reservations
 /// on references that share a hash slot, and same-slot Reserves from
 /// different arrays no longer conflict. Revoke must clear the slot in all
-/// A arrays — O(A), still constant.
+/// A arrays — O(A), still constant. As in RR-XO, the reference cell is a
+/// PrivateCell and the ownership arrays stay transactional.
 template <class TM, std::size_t kArrays = 8>
 class RrSo {
   static_assert(kArrays >= 1);
@@ -35,20 +36,23 @@ class RrSo {
 
   void register_thread(Tx& tx) {
     if (generations_.is_registered(tx)) return;
-    tx.write(my_ref(), static_cast<Ref>(nullptr));
+    tx.write_private(my_ref(), static_cast<Ref>(nullptr));
     generations_.mark_registered(tx);
   }
 
   void reserve(Tx& tx, Ref ref) {
     note_reserve(ref);
     tx.write(own_[slot_index(my_array(), ref)], my_id());
-    tx.write(my_ref(), ref);
+    tx.write_private(my_ref(), ref);
   }
 
-  void release(Tx& tx) { tx.write(my_ref(), static_cast<Ref>(nullptr)); }
+  /// Thread-local only: never causes transaction conflicts.
+  void release(Tx& tx) {
+    tx.write_private(my_ref(), static_cast<Ref>(nullptr));
+  }
 
   Ref get(Tx& tx) {
-    const Ref ref = tx.read(my_ref());
+    const Ref ref = tx.read_private(my_ref());
     if (ref == nullptr ||
         tx.read(own_[slot_index(my_array(), ref)]) != my_id()) {
       note_get(nullptr);
@@ -80,11 +84,13 @@ class RrSo {
     return static_cast<std::int64_t>(util::ThreadRegistry::slot());
   }
 
-  Ref& my_ref() noexcept { return refs_[util::ThreadRegistry::slot()].value; }
+  tm::PrivateCell<Ref>& my_ref() noexcept {
+    return refs_[util::ThreadRegistry::slot()].value;
+  }
 
   std::size_t log2_slots_;
   std::vector<std::int64_t> own_;
-  util::CachePadded<Ref> refs_[util::kMaxThreads];
+  util::CachePadded<tm::PrivateCell<Ref>> refs_[util::kMaxThreads];
   SlotGenerations generations_;
 };
 

@@ -19,6 +19,12 @@ namespace hohtm::rr {
 /// reference simultaneously — the strongest combination in the relaxed
 /// family, and (with RR-XO) the best performer in the paper's Figures.
 ///
+/// The per-thread cell {ref, version} is read only by its owner, so it is
+/// a pair of PrivateCells: Reserve/Release/Get never make a transaction a
+/// writer, and a hand-over-hand window that only moves its reservation
+/// commits as a reader. The version counters stay transactional: Revoke
+/// bumps them and every Get must see that bump.
+///
 /// Relaxed: a Revoke of a *different* reference that hashes to the same
 /// counter spuriously invalidates the reservation.
 template <class TM>
@@ -37,7 +43,7 @@ class RrV {
 
   void register_thread(Tx& tx) {
     if (generations_.is_registered(tx)) return;
-    tx.write(mine().ref, static_cast<Ref>(nullptr));
+    tx.write_private(mine().ref, static_cast<Ref>(nullptr));
     generations_.mark_registered(tx);
   }
 
@@ -45,16 +51,20 @@ class RrV {
   /// of the same reference never conflict with each other.
   void reserve(Tx& tx, Ref ref) {
     note_reserve(ref);
-    tx.write(mine().version, tx.read(versions_[slot_of(ref)]));
-    tx.write(mine().ref, ref);
+    Cell& cell = mine();
+    tx.write_private(cell.version, tx.read(versions_[slot_of(ref)]));
+    tx.write_private(cell.ref, ref);
   }
 
-  void release(Tx& tx) { tx.write(mine().ref, static_cast<Ref>(nullptr)); }
+  void release(Tx& tx) {
+    tx.write_private(mine().ref, static_cast<Ref>(nullptr));
+  }
 
   Ref get(Tx& tx) {
-    const Ref ref = tx.read(mine().ref);
+    Cell& cell = mine();
+    const Ref ref = tx.read_private(cell.ref);
     if (ref == nullptr ||
-        tx.read(versions_[slot_of(ref)]) != tx.read(mine().version)) {
+        tx.read(versions_[slot_of(ref)]) != tx.read_private(cell.version)) {
       note_get(nullptr);
       return nullptr;
     }
@@ -71,8 +81,8 @@ class RrV {
 
  private:
   struct Cell {
-    Ref ref = nullptr;
-    std::uint64_t version = 0;
+    tm::PrivateCell<Ref> ref;
+    tm::PrivateCell<std::uint64_t> version;
   };
 
   std::size_t slot_of(Ref ref) const noexcept {

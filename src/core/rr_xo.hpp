@@ -21,6 +21,10 @@ namespace hohtm::rr {
 /// *different* reference that hashes to the same OWN slot evicts the
 /// caller's stamp (and at most one thread can hold a reservation on any
 /// given slot). Progress, not correctness, is what this costs (§3.2).
+///
+/// The thread-private reference cell is a PrivateCell (only its owner
+/// reads it), so Release never makes a transaction a writer. OWN stays
+/// transactional: revokers write it.
 template <class TM>
 class RrXo {
  public:
@@ -39,21 +43,23 @@ class RrXo {
   /// registration only needs to scrub a recycled slot's stale reference.
   void register_thread(Tx& tx) {
     if (generations_.is_registered(tx)) return;
-    tx.write(my_ref(), static_cast<Ref>(nullptr));
+    tx.write_private(my_ref(), static_cast<Ref>(nullptr));
     generations_.mark_registered(tx);
   }
 
   void reserve(Tx& tx, Ref ref) {
     note_reserve(ref);
     tx.write(own_[hash_ref(ref, log2_slots_)], my_id());
-    tx.write(my_ref(), ref);
+    tx.write_private(my_ref(), ref);
   }
 
   /// Thread-local only: never causes transaction conflicts.
-  void release(Tx& tx) { tx.write(my_ref(), static_cast<Ref>(nullptr)); }
+  void release(Tx& tx) {
+    tx.write_private(my_ref(), static_cast<Ref>(nullptr));
+  }
 
   Ref get(Tx& tx) {
-    const Ref ref = tx.read(my_ref());
+    const Ref ref = tx.read_private(my_ref());
     if (ref == nullptr || tx.read(own_[hash_ref(ref, log2_slots_)]) != my_id()) {
       note_get(nullptr);
       return nullptr;
@@ -75,11 +81,13 @@ class RrXo {
     return static_cast<std::int64_t>(util::ThreadRegistry::slot());
   }
 
-  Ref& my_ref() noexcept { return refs_[util::ThreadRegistry::slot()].value; }
+  tm::PrivateCell<Ref>& my_ref() noexcept {
+    return refs_[util::ThreadRegistry::slot()].value;
+  }
 
   std::size_t log2_slots_;
   std::vector<std::int64_t> own_;
-  util::CachePadded<Ref> refs_[util::kMaxThreads];
+  util::CachePadded<tm::PrivateCell<Ref>> refs_[util::kMaxThreads];
   SlotGenerations generations_;
 };
 

@@ -63,6 +63,7 @@ enum class Mutation : unsigned {
   kFusionNeverFallback,  // fused traversal keeps speculating after an abort
   kDropAborterId,        // revokers/aborters omit their identity stamp
   kDropScanCursorHandover, // kv scan parks its cursor without reserving
+  kPrivateWriteBackOnAbort, // aborted tx still writes back private cells
 };
 
 namespace detail {

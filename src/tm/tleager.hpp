@@ -271,6 +271,10 @@ class TlEager {
     }
   }
 
+  /// The global version clock. Every writer commit advances it; a
+  /// read-only commit leaves it unchanged. Diagnostics and tests only.
+  static std::uint64_t commit_clock() noexcept { return orecs().clock(); }
+
   static Tx* current() noexcept { return current_; }
   static void set_current(Tx* tx) noexcept { current_ = tx; }
   static Tx& tls_tx() {

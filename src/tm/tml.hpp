@@ -158,6 +158,13 @@ class Tml {
     return run_serial_body<Tml>(tx, std::forward<F>(f));
   }
 
+  /// The global sequence lock's value. Every writer commit (and every
+  /// serial transaction) advances it by 2; a read-only commit leaves it
+  /// unchanged. Diagnostics and tests only.
+  static std::uint64_t commit_clock() noexcept {
+    return seqlock_.load_acquire();
+  }
+
   static Tx* current() noexcept { return current_; }
   static void set_current(Tx* tx) noexcept { current_ = tx; }
   static Tx& tls_tx() {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sched/schedpoint.hpp"
 #include "tm/word.hpp"
 #include "util/tsan.hpp"
 
@@ -117,11 +118,61 @@ class UndoLog {
   std::vector<Entry> log_;
 };
 
-/// Lifecycle log for transactional allocation. `alloc` registers a
-/// destroy-and-free thunk to run if the transaction aborts; `dealloc`
-/// registers one to run after the transaction commits (and, in concurrent
-/// backends, after the quiescence fence — this is what makes reclamation
-/// precise yet safe).
+/// Owner-private redo buffer: one transaction's PrivateCell writes (see
+/// LifecycleLog). It only ever holds the calling thread's own cells, a
+/// few per reservation object the transaction touches, so a lookup scans
+/// the log instead of keeping a hash index like WriteSet.
+class PrivateLog {
+ public:
+  bool empty() const noexcept { return log_.empty(); }
+
+  /// Insert or overwrite the buffered value for `addr`.
+  void put(void* addr, ErasedWord w) {
+    const auto key = reinterpret_cast<std::uintptr_t>(addr);
+    for (Entry& e : log_) {
+      if (e.addr == key) {
+        e.word = w;
+        return;
+      }
+    }
+    log_.push_back(Entry{key, w});
+  }
+
+  /// Return the buffered value for `addr`, or nullptr if absent.
+  const ErasedWord* find(const void* addr) const noexcept {
+    const auto key = reinterpret_cast<std::uintptr_t>(addr);
+    for (const Entry& e : log_)
+      if (e.addr == key) return &e.word;
+    return nullptr;
+  }
+
+  /// Apply every buffered write in program order, with plain stores: no
+  /// other thread accesses these cells (see TxLifecycle).
+  void write_back() const noexcept {
+    for (const Entry& e : log_)
+      plain_store(reinterpret_cast<void*>(e.addr), e.word);
+  }
+
+  void clear() noexcept { log_.clear(); }
+
+ private:
+  struct Entry {
+    std::uintptr_t addr;
+    ErasedWord word;
+  };
+  std::vector<Entry> log_;
+};
+
+/// Lifecycle log: everything a transaction settles only once it knows
+/// whether it committed. `alloc` registers a destroy-and-free thunk to
+/// run if the transaction aborts; `dealloc` registers one to run after
+/// the transaction commits (and, in concurrent backends, after the
+/// quiescence fence — this is what makes reclamation precise yet safe).
+/// The private buffer holds the transaction's owner-private writes
+/// (PrivateCell): written back on commit, dropped on abort. Every
+/// backend ends every attempt — normal, serial, or undo-logged — in
+/// exactly one of commit() or abort(), so this one buffer gives all of
+/// them the private path.
 class LifecycleLog {
  public:
   using Thunk = void (*)(void*) noexcept;
@@ -131,8 +182,13 @@ class LifecycleLog {
 
   bool has_pending_frees() const noexcept { return !frees_.empty(); }
 
-  /// Transaction committed: allocations become permanent, deferred frees run.
+  PrivateLog& private_writes() noexcept { return private_; }
+
+  /// Transaction committed: private writes land, allocations become
+  /// permanent, deferred frees run.
   void commit() noexcept {
+    private_.write_back();
+    private_.clear();
     allocs_.clear();
     for (const Record& r : frees_) {
       // Pairs with tsan::release(ref) in rr::note_reserve/note_revocation:
@@ -143,8 +199,12 @@ class LifecycleLog {
     frees_.clear();
   }
 
-  /// Transaction aborted: deferred frees are discarded, allocations undone.
+  /// Transaction aborted: private writes and deferred frees are dropped,
+  /// allocations undone.
   void abort() noexcept {
+    if (sched::mutate(sched::Mutation::kPrivateWriteBackOnAbort))
+      private_.write_back();
+    private_.clear();
     frees_.clear();
     for (auto it = allocs_.rbegin(); it != allocs_.rend(); ++it)
       it->destroy(it->ptr);
@@ -158,6 +218,7 @@ class LifecycleLog {
   };
   std::vector<Record> allocs_;
   std::vector<Record> frees_;
+  PrivateLog private_;
 };
 
 }  // namespace hohtm::tm

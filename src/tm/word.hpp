@@ -10,12 +10,37 @@
 namespace hohtm::tm {
 
 /// Transactional locations must be word-sized (or smaller), trivially
-/// copyable objects: pointers, integers, bools, enums. Larger objects are
-/// accessed field-by-field, exactly as in the paper's node-based structures.
+/// copyable, copy-constructible objects: pointers, integers, bools, enums.
+/// Larger objects are accessed field-by-field, exactly as in the paper's
+/// node-based structures. (Copy-constructible keeps the deliberately
+/// non-copyable PrivateCell out; GCC counts deleted copies as trivial.)
 template <class T>
-concept TxWord = std::is_trivially_copyable_v<T> && sizeof(T) <= 8 &&
+concept TxWord = std::is_trivially_copyable_v<T> &&
+                 std::is_copy_constructible_v<T> && sizeof(T) <= 8 &&
                  (sizeof(T) == 1 || sizeof(T) == 2 || sizeof(T) == 4 ||
                   sizeof(T) == 8);
+
+/// A word that only its owning thread ever reads or writes: a per-thread
+/// reservation cell, reached through the owner's ThreadRegistry::slot()
+/// index. It is reachable only through `tx.read_private` /
+/// `tx.write_private` (see TxLifecycle), which buffer writes until the
+/// transaction commits and never log or validate reads, so a transaction
+/// whose only writes are private ones commits as a reader. Non-copyable,
+/// hence not a TxWord: `tx.read(cell)` / `tx.write(cell, v)` do not
+/// compile.
+template <TxWord T>
+class PrivateCell {
+ public:
+  PrivateCell() = default;
+  PrivateCell(const PrivateCell&) = delete;
+  PrivateCell& operator=(const PrivateCell&) = delete;
+
+ private:
+  friend class TxLifecycle;
+  T value_{};
+};
+
+static_assert(!TxWord<PrivateCell<int>>);
 
 /// All shared-memory accesses that can race with a committing writer go
 /// through std::atomic_ref so that zombie readers never execute a C++-level
@@ -73,6 +98,24 @@ inline void erased_store(void* addr, ErasedWord w) noexcept {
       break;
     default:
       atomic_store(*static_cast<std::uint64_t*>(addr), w.bits);
+      break;
+  }
+}
+
+/// Non-atomic `erased_store`, for words no other thread can access.
+inline void plain_store(void* addr, ErasedWord w) noexcept {
+  switch (w.width) {
+    case 1:
+      std::memcpy(addr, &w.bits, 1);
+      break;
+    case 2:
+      std::memcpy(addr, &w.bits, 2);
+      break;
+    case 4:
+      std::memcpy(addr, &w.bits, 4);
+      break;
+    default:
+      std::memcpy(addr, &w.bits, 8);
       break;
   }
 }

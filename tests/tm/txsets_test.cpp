@@ -73,6 +73,39 @@ TEST(WriteSet, ClearKeepsItUsable) {
   EXPECT_EQ(restore_word<int>(*ws.find(&x)), 9);
 }
 
+TEST(PrivateLog, OverwriteFindAndWriteBack) {
+  PrivateLog log;
+  std::uint8_t a = 0;
+  std::uint64_t d = 0;
+  int x = 0;
+  EXPECT_EQ(log.find(&x), nullptr);
+  log.put(&a, erase_word<std::uint8_t>(0x12));
+  log.put(&d, erase_word<std::uint64_t>(0x123456789ABCDEF0ULL));
+  log.put(&x, erase_word(1));
+  log.put(&x, erase_word(2));
+  EXPECT_EQ(restore_word<int>(*log.find(&x)), 2);
+  EXPECT_EQ(x, 0);  // buffered until write-back
+  log.write_back();
+  EXPECT_EQ(a, 0x12);
+  EXPECT_EQ(d, 0x123456789ABCDEF0ULL);
+  EXPECT_EQ(x, 2);
+}
+
+TEST(PrivateLog, ClearDropsEveryEntry) {
+  PrivateLog log;
+  static int cells[20];
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 20; ++i) log.put(&cells[i], erase_word(i + round));
+    for (int i = 0; i < 20; ++i)
+      EXPECT_EQ(restore_word<int>(*log.find(&cells[i])), i + round);
+    log.clear();
+    EXPECT_TRUE(log.empty());
+    for (int i = 0; i < 20; ++i) EXPECT_EQ(log.find(&cells[i]), nullptr);
+  }
+  log.write_back();
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(cells[i], 0);
+}
+
 TEST(UndoLog, RollsBackInReverseOrder) {
   UndoLog undo;
   int x = 0;
