@@ -45,7 +45,8 @@ for arg in "$@"; do
     --asan)
       # Rebuild under AddressSanitizer + UBSan and run the full suite:
       # precise reclamation is the point of the paper, so a use-after-free
-      # or leak anywhere is a correctness bug, not noise.
+      # or leak anywhere is a correctness bug, not noise. UBSan is built
+      # non-recoverable (CMakeLists.txt), so a UB report fails its test.
       BUILD_DIR=build-asan
       SANITIZE="-DHOHTM_SANITIZE=address,undefined"
       ASAN=1
@@ -76,15 +77,12 @@ for arg in "$@"; do
       METRICS=1
       ;;
     --net)
-      # Serving-tier stage (docs/SERVING.md): the `net`-labeled unit
-      # tests (frame codec fuzzing, loopback differential oracle,
-      # backpressure, stalled-client reclamation), then the
-      # kv_loopback --smoke gate — pipelined clients over real sockets,
-      # self-asserting that depth-16 pipelines fuse into fewer commits
-      # AND fewer quiescence waits per op than depth-1, and that a
-      # stalled client leaves the watchdog clean with a Gauge-exact
-      # footprint — and finally summarize_bench.py rendering the
-      # serving-tier table from the net rows.
+      # Serving-tier stage (docs/SERVING.md): the `net`-labeled tests
+      # alone — frame codec fuzzing, the loopback differential oracle,
+      # the depth-1 vs depth-16 fusion gate (fewer commits AND fewer
+      # quiescence waits per op at depth 16, at most 1.001 commits per
+      # op at depth 1), backpressure, and stalled-client reclamation
+      # (watchdog clean, Gauge-exact footprint).
       NET=1
       ;;
     --full-bench) FULL_BENCH=1 ;;
@@ -213,15 +211,6 @@ if [ "$NET" -eq 1 ]; then
     echo "FAIL: serving-tier tests" >&2
     exit 1
   fi
-  echo "== loopback smoke (bench/kv_loopback --smoke)"
-  NET_OUT="$BUILD_DIR/net_smoke.txt"
-  "./$BUILD_DIR/bench/kv_loopback" --smoke > "$NET_OUT"
-  if ! grep -q "serving tier" \
-      <(python3 tools/summarize_bench.py "$NET_OUT"); then
-    echo "FAIL: loopback smoke produced no serving-tier table" >&2
-    exit 1
-  fi
-  echo "-- kv_loopback (smoke) ok"
   echo "NET CHECKS PASSED"
   exit 0
 fi

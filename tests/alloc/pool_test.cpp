@@ -2,6 +2,7 @@
 // backend-switch safety.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <thread>
@@ -9,6 +10,8 @@
 
 #include "alloc/object.hpp"
 #include "alloc/pool.hpp"
+#include "reclaim/gauge.hpp"
+#include "tm/tm.hpp"
 #include "util/barrier.hpp"
 
 namespace hohtm::alloc {
@@ -136,6 +139,45 @@ TEST_F(PoolTest, TypedCreateDestroy) {
   EXPECT_EQ(w->a, 3);
   EXPECT_EQ(w->b, 2.5);
   destroy(w);
+}
+
+// Cache-line padded types (the RR thread nodes) must land on their own
+// alignment from both backends, whatever offset the 16-aligned block
+// happens to start at, and free back to an exact footprint.
+TEST_F(PoolTest, OverAlignedCreateHonoursAlignment) {
+  struct alignas(64) Padded {
+    long tag;
+    explicit Padded(long t) : tag(t) {}
+  };
+  const auto aligned = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) % alignof(Padded) == 0;
+  };
+  for (const bool pool : {false, true}) {
+    SCOPED_TRACE(pool ? "pool" : "malloc");
+    use_pool(pool);
+    std::vector<Padded*> made;
+    for (long i = 0; i < 16; ++i) {
+      made.push_back(create<Padded>(i));
+      made.push_back(create_flex<Padded>(24, -i));
+    }
+    for (std::size_t i = 0; i < made.size(); ++i) {
+      EXPECT_TRUE(aligned(made[i]));
+      EXPECT_EQ(made[i]->tag, i % 2 == 0 ? long(i / 2) : -long(i / 2));
+    }
+    for (Padded* p : made) destroy(p);
+
+    const auto live_before = reclaim::Gauge::live();
+    std::vector<Padded*> tx_made;
+    for (long i = 0; i < 16; ++i)
+      tx_made.push_back(tm::Norec::atomically(
+          [&](tm::Norec::Tx& tx) { return tx.alloc<Padded>(i); }));
+    EXPECT_EQ(reclaim::Gauge::live(), live_before + 16);
+    for (Padded* p : tx_made) {
+      EXPECT_TRUE(aligned(p));
+      tm::Norec::atomically([&](tm::Norec::Tx& tx) { tx.dealloc(p); });
+    }
+    EXPECT_EQ(reclaim::Gauge::live(), live_before);
+  }
 }
 
 TEST_F(PoolTest, BackendNameReflectsSwitch) {

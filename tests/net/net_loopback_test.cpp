@@ -130,21 +130,34 @@ TEST(NetLoopback, RoundTripEveryOpcode) {
   svc.stop();
 }
 
+/// What a pipelined run paid per op: commits and quiescence waits as
+/// tm::Stats deltas around the client phase, and the ops the server
+/// committed inside fused same-shard groups.
+struct PipelineCost {
+  double commits_per_op = 0;
+  double qwaits_per_op = 0;
+  std::uint64_t fused_ops = 0;
+};
+
 // Multi-connection pipelined mixed-op run against per-connection
 // std::map oracles (disjoint keyspaces make each oracle independent),
 // with the in-order-completion assertion: every response carries the
 // next expected seq for its connection, strictly increasing. Depth 16
 // sends every batch through the ring to the workers; depth 1 runs every
 // batch inline on the loop thread.
-void run_pipelined_oracle(int pipeline) {
+PipelineCost run_pipelined_oracle(int pipeline, const Store::Options& opt) {
   SCOPED_TRACE("pipeline depth " + std::to_string(pipeline));
-  Store store(small_store());
+  Store store(opt);
   Service svc(store, 2);
   Server server(svc, Server::Options{});
-  ASSERT_TRUE(server.ok());
+  if (!server.ok()) {
+    ADD_FAILURE() << "failed to bind the loopback server";
+    return {};
+  }
 
   constexpr int kConns = 4;
   const int rounds = 192 / pipeline;
+  const tm::StatCounters before = tm::Stats::total();
   std::vector<std::thread> clients;
   clients.reserve(kConns);
   for (int c = 0; c < kConns; ++c) {
@@ -216,21 +229,51 @@ void run_pipelined_oracle(int pipeline) {
     });
   }
   for (std::thread& t : clients) t.join();
+  const tm::StatCounters after = tm::Stats::total();
   const Server::Counters c = server.counters();
   EXPECT_GE(c.accepted, static_cast<std::uint64_t>(kConns));
   EXPECT_EQ(c.batches, static_cast<std::uint64_t>(kConns * rounds));
   // One flush is one loopback segment, so each pipeline read is exactly
   // one flush: a lone op always runs inline, a full pipeline never does.
   EXPECT_EQ(c.inline_batches, pipeline == 1 ? c.batches : 0u);
-  EXPECT_EQ(svc.stats().gets + svc.stats().puts + svc.stats().dels,
-            static_cast<std::uint64_t>(kConns * rounds * pipeline));
+  const std::uint64_t ops =
+      static_cast<std::uint64_t>(kConns * rounds * pipeline);
+  EXPECT_EQ(svc.stats().gets + svc.stats().puts + svc.stats().dels, ops);
   server.stop();
   svc.stop();
+  PipelineCost cost;
+  cost.commits_per_op = static_cast<double>(after.commits - before.commits) /
+                        static_cast<double>(ops);
+  cost.qwaits_per_op =
+      static_cast<double>(after.quiescence_waits - before.quiescence_waits) /
+      static_cast<double>(ops);
+  cost.fused_ops = c.fused_ops;
+  return cost;
 }
 
 TEST(NetLoopback, MultiConnectionPipelinedDifferentialOracle) {
-  run_pipelined_oracle(16);
-  run_pipelined_oracle(1);
+  run_pipelined_oracle(16, small_store());
+  run_pipelined_oracle(1, small_store());
+}
+
+// Batch-boundary window fusion over real sockets: a depth-16 pipeline
+// pays strictly fewer commits AND quiescence waits per op than depth 1,
+// with nonzero fused ops. One frozen shard makes every batch one
+// fuseable run and keeps migration transactions out of the counts, so a
+// depth-1 op is exactly its own window transaction: a per-op probe
+// transaction would read 2.0 commits/op or more.
+TEST(NetLoopback, PipelineDepthCutsCommitsAndQuiescenceWaitsPerOp) {
+  Store::Options frozen = small_store();
+  frozen.log2_shards = 0;
+  frozen.log2_buckets = 6;
+  frozen.max_log2_buckets = frozen.log2_buckets;
+  frozen.fusion_cap = 16;
+  const PipelineCost d1 = run_pipelined_oracle(1, frozen);
+  const PipelineCost d16 = run_pipelined_oracle(16, frozen);
+  EXPECT_LE(d1.commits_per_op, 1.001);
+  EXPECT_LT(d16.commits_per_op, d1.commits_per_op);
+  EXPECT_LT(d16.qwaits_per_op, d1.qwaits_per_op);
+  EXPECT_GT(d16.fused_ops, 0u);
 }
 
 // Per-connection backpressure: a 64-op pipeline against a 4-op in-flight
@@ -523,6 +566,13 @@ TEST(NetLoopback, StalledClientLeavesWatchdogCleanAndFootprintExact) {
     reclaim::Watchdog::check(t0);
     net::Client healthy;
     ASSERT_TRUE(healthy.connect(server.port()));
+    // The parked connection holds nothing the STATS path needs either:
+    // the snapshot still comes back.
+    healthy.queue_stats();
+    ASSERT_GT(healthy.flush(), 0u);
+    ASSERT_TRUE(healthy.recv(r));
+    EXPECT_EQ(r.status, net::WireStatus::kOk);
+    EXPECT_NE(r.value.find("\"service\""), std::string::npos);
     for (int round = 0; round < 8; ++round) {
       for (int i = 0; i < 16; ++i) {
         const std::string key = "churn" + std::to_string(i);

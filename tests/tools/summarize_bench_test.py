@@ -73,8 +73,9 @@ SCAN_KV_ROW = ("kv,ycsb-e,RR-V,16,10.5000,0.90,"
                "1000,50,10,20,5,3,7,4,2,1,64,"
                "2048,8192,16384,30000,512,9,6,"
                "3800,200,96,3,480,1320,2")
-# The current layouts: quiescence_waits after aborts_attr (25 columns),
-# the kv_ycsb columns (32), and the kv_loopback net columns (36).
+# The current layouts: quiescence_waits after aborts_attr (25 columns)
+# and the kv_ycsb columns (32); the four net columns after them (36)
+# exercise header-keyed decoding of columns the tool does not render.
 QWAITS_HEADER = ATTR_HEADER + ",quiescence_waits"
 QWAITS_ROW = ATTR_ROW + ",210"
 NET_KV_HEADER = (QWAITS_HEADER + KV_NAMES +
@@ -283,27 +284,12 @@ class CliTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertNotIn("kv workload", proc.stdout)
 
-    def test_summarize_renders_net_table(self):
-        proc = self.run_tool("summarize_bench.py", [NET_HEADER, NET_ROW])
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertIn("serving tier", proc.stdout)
-        self.assertIn("250", proc.stdout)    # batches
-        self.assertIn("16.00", proc.stdout)  # 4000 keyed / 250 batches
-        self.assertIn("99.62", proc.stdout)  # 3985 fused of 4000 keyed
-
     def test_summarize_renders_quiescence_column(self):
         proc = self.run_tool("summarize_bench.py",
                              [QWAITS_HEADER, QWAITS_ROW])
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("qwaits", proc.stdout)
         self.assertIn("210.00", proc.stdout)  # 210 waits per 1k commits
-
-    def test_netless_rows_render_no_serving_table(self):
-        proc = self.run_tool("summarize_bench.py",
-                             [SCAN_KV_HEADER, SCAN_KV_ROW])
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertNotIn("serving tier", proc.stdout)
-        self.assertNotIn("qwaits", proc.stdout)
 
     def test_summarize_header_drift_exits_with_line_number(self):
         proc = self.run_tool("summarize_bench.py",

@@ -135,8 +135,6 @@ def summarize(rows, only_figure=None, show_causes=False):
                                  counter_cells)
             emit_kv_table(figure, panel, series_order[key], top,
                           counter_cells)
-            emit_net_table(figure, panel, series_order[key], top,
-                           counter_cells)
 
 
 def emit_cause_table(figure, panel, series_list, threads, counter_cells):
@@ -215,34 +213,6 @@ def emit_kv_table(figure, panel, series_list, threads, counter_cells):
             row += (f"{scans:10d}" + f"{windows:10d}" +
                     f"{windows / max(scans, 1):9.2f}" +
                     f"{c.get('kv_scan_resumes', 0):9d}")
-        print(row)
-
-
-def emit_net_table(figure, panel, series_list, threads, counter_cells):
-    """Serving-tier columns (the kv_loopback bench): pipeline batches
-    (one per pipeline read, whether it ran inline on the event loop or
-    through a worker), ops committed inside fused same-shard groups
-    (with ops-per-batch and the fused share of the keyed ops), and raw
-    wire traffic."""
-    have = [(s, counter_cells.get((figure, panel, s, threads)))
-            for s in series_list]
-    have = [(s, c) for s, c in have if c and "net_batches" in c]
-    if not have:
-        return
-    header = ("series".ljust(14) + f"{'batches':>10}" +
-              f"{'ops/batch':>10}" + f"{'fused_ops':>11}" +
-              f"{'fused%':>8}" + f"{'bytes_in':>12}" + f"{'bytes_out':>12}")
-    print(f"   serving tier @ {threads} threads")
-    print(header)
-    print("-" * len(header))
-    for series, c in have:
-        keyed = max(c.get("kv_hits", 0) + c.get("kv_misses", 0), 1)
-        batches = c["net_batches"]
-        row = (series.ljust(14) + f"{batches:10d}" +
-               f"{keyed / max(batches, 1):10.2f}" +
-               f"{c['net_fused_ops']:11d}" +
-               f"{100.0 * c['net_fused_ops'] / keyed:8.2f}" +
-               f"{c['net_bytes_in']:12d}" + f"{c['net_bytes_out']:12d}")
         print(row)
 
 
