@@ -57,7 +57,7 @@ class BstExternal {
     return apply<false>(
         key, [](Tx&, Node*, Node*, Node*) { return false; },
         [&](Tx& tx, Node*, Node* parent, Node* leaf) {
-          const Key leaf_key = tx.read(leaf->key);
+          const Key leaf_key = leaf->key;
           Node* fresh_leaf = tx.template alloc<Node>(key, nullptr, nullptr);
           // New router keyed by the larger of the two, smaller key left.
           Node* router =
@@ -115,7 +115,7 @@ class BstExternal {
 
  private:
   struct Node {
-    Key key;
+    const Key key;  // immutable after publication: read plainly
     Node* left;   // nullptr iff leaf (internal nodes have both children)
     Node* right;
     Node(Key k, Node* l, Node* r) : key(k), left(l), right(r) {}
@@ -149,13 +149,13 @@ class BstExternal {
               parent = root_;
               used = initial_scatter();
             }
-            Node* curr = key < tx.read(parent->key) ? tx.read(parent->left)
-                                                    : tx.read(parent->right);
+            Node* curr = key < parent->key ? tx.read(parent->left)
+                                           : tx.read(parent->right);
             while (tx.read(curr->left) != nullptr && used < window_) {
               gparent = parent;
               parent = curr;
-              curr = key < tx.read(curr->key) ? tx.read(curr->left)
-                                              : tx.read(curr->right);
+              curr = key < curr->key ? tx.read(curr->left)
+                                     : tx.read(curr->right);
               ++used;
             }
             if (tx.read(curr->left) != nullptr) {
@@ -168,7 +168,7 @@ class BstExternal {
               reservation_.release(tx);
               return from_root(tx, key, on_found, on_not_found);
             }
-            if (tx.read(curr->key) == key) {
+            if (curr->key == key) {
               const bool result = on_found(tx, gparent, parent, curr);
               reservation_.release(tx);
               return result;
@@ -193,10 +193,9 @@ class BstExternal {
     while (tx.read(curr->left) != nullptr) {
       gparent = parent;
       parent = curr;
-      curr = key < tx.read(curr->key) ? tx.read(curr->left)
-                                      : tx.read(curr->right);
+      curr = key < curr->key ? tx.read(curr->left) : tx.read(curr->right);
     }
-    if (tx.read(curr->key) == key) return on_found(tx, gparent, parent, curr);
+    if (curr->key == key) return on_found(tx, gparent, parent, curr);
     return on_not_found(tx, gparent, parent, curr);
   }
 
@@ -210,7 +209,7 @@ class BstExternal {
   std::size_t count_real_leaves(Tx& tx, Node* node) {
     Node* left = tx.read(node->left);
     if (left == nullptr)
-      return tx.read(node->key) < kInf1 ? 1 : 0;
+      return node->key < kInf1 ? 1 : 0;
     return count_real_leaves(tx, left) +
            count_real_leaves(tx, tx.read(node->right));
   }
@@ -220,7 +219,7 @@ class BstExternal {
     Node* right = tx.read(node->right);
     if (left == nullptr) {
       if (right != nullptr) return false;  // half-internal node
-      const Key k = tx.read(node->key);
+      const Key k = node->key;
       if (k < *last) return false;  // leaves out of order
       *last = k;
       return true;

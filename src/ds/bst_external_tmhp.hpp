@@ -52,7 +52,7 @@ class BstExternalTmhp {
     return apply<false>(
         key, [](Tx&, Node*, Node*, Node*) { return false; },
         [&](Tx& tx, Node*, Node* parent, Node* leaf) {
-          const Key leaf_key = tx.read(leaf->key);
+          const Key leaf_key = leaf->key;
           Node* fresh_leaf = tx.template alloc<Node>(key, nullptr, nullptr);
           Node* router =
               key < leaf_key
@@ -107,7 +107,7 @@ class BstExternalTmhp {
 
  private:
   struct Node {
-    Key key;
+    const Key key;  // immutable after publication: read plainly
     Node* left;
     Node* right;
     long unlinked = 0;
@@ -150,8 +150,8 @@ class BstExternalTmhp {
           parent = root_;
           used = initial_scatter();
         }
-        Node* curr = key < tx.read(parent->key) ? tx.read(parent->left)
-                                                : tx.read(parent->right);
+        Node* curr = key < parent->key ? tx.read(parent->left)
+                                       : tx.read(parent->right);
         while (tx.read(curr->left) != nullptr) {
           if (used >= window_) {
             if (!fusion.try_fuse()) break;
@@ -159,8 +159,7 @@ class BstExternalTmhp {
           }
           gparent = parent;
           parent = curr;
-          curr = key < tx.read(curr->key) ? tx.read(curr->left)
-                                          : tx.read(curr->right);
+          curr = key < curr->key ? tx.read(curr->left) : tx.read(curr->right);
           ++used;
         }
         if (tx.read(curr->left) != nullptr) {
@@ -170,7 +169,7 @@ class BstExternalTmhp {
         if (kNeedsGparent && gparent == nullptr && parent != root_) {
           return Step{from_root(tx, key, on_found, on_not_found), nullptr};
         }
-        if (tx.read(curr->key) == key)
+        if (curr->key == key)
           return Step{on_found(tx, gparent, parent, curr), nullptr};
         return Step{on_not_found(tx, gparent, parent, curr), nullptr};
       });
@@ -199,10 +198,9 @@ class BstExternalTmhp {
     while (tx.read(curr->left) != nullptr) {
       gparent = parent;
       parent = curr;
-      curr = key < tx.read(curr->key) ? tx.read(curr->left)
-                                      : tx.read(curr->right);
+      curr = key < curr->key ? tx.read(curr->left) : tx.read(curr->right);
     }
-    if (tx.read(curr->key) == key) return on_found(tx, gparent, parent, curr);
+    if (curr->key == key) return on_found(tx, gparent, parent, curr);
     return on_not_found(tx, gparent, parent, curr);
   }
 
@@ -215,7 +213,7 @@ class BstExternalTmhp {
 
   std::size_t count_real_leaves(Tx& tx, Node* node) {
     Node* left = tx.read(node->left);
-    if (left == nullptr) return tx.read(node->key) < kInf1 ? 1 : 0;
+    if (left == nullptr) return node->key < kInf1 ? 1 : 0;
     return count_real_leaves(tx, left) +
            count_real_leaves(tx, tx.read(node->right));
   }

@@ -99,6 +99,10 @@ class BstInternal {
 
  private:
   struct Node {
+    // Mutable and read transactionally, unlike every other structure's
+    // node key (docs/ALGORITHMS.md, "Immutable fields are read plainly"):
+    // a two-child remove copies the successor's key into this node in
+    // place (remove_node), so the key changes after publication.
     Key key;
     Node* left;
     Node* right;

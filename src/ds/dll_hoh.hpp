@@ -147,7 +147,7 @@ class DllHoh {
       for (Node* n = tx.read(head_->next); n != nullptr;
            n = tx.read(n->next)) {
         if (tx.read(n->prev) != previous) return false;
-        if (previous != head_ && tx.read(n->key) <= tx.read(previous->key))
+        if (previous != head_ && n->key <= previous->key)
           return false;
         previous = n;
       }
@@ -164,7 +164,7 @@ class DllHoh {
 
  private:
   struct Node {
-    Key key;
+    const Key key;  // immutable after publication: read plainly
     Node* prev;
     Node* next;
     Node(Key k, Node* p, Node* n) : key(k), prev(p), next(n) {}
@@ -213,7 +213,7 @@ class DllHoh {
               used = initial_scatter();
             }
             Node* curr = tx.read(prev->next);
-            while (curr != nullptr && tx.read(curr->key) < key) {
+            while (curr != nullptr && curr->key < key) {
               if (used >= window_) {
                 if (!fusion.try_fuse()) break;
                 used = 0;  // boundary elided: a fresh window, same tx
@@ -222,13 +222,13 @@ class DllHoh {
               curr = tx.read(curr->next);
               ++used;
             }
-            if (curr != nullptr && tx.read(curr->key) == key) {
+            if (curr != nullptr && curr->key == key) {
               const FindOutcome result = on_found(tx, prev, curr);
               if (!result.needs_second_phase) reservation_.release(tx);
               if (result.needs_second_phase) parked = curr;
               return result;
             }
-            if (curr == nullptr || tx.read(curr->key) > key) {
+            if (curr == nullptr || curr->key > key) {
               const FindOutcome result = on_not_found(tx, prev, curr);
               reservation_.release(tx);
               return result;

@@ -108,7 +108,7 @@ class DllTmhp {
 
  private:
   struct Node {
-    Key key;
+    const Key key;  // immutable after publication: read plainly
     Node* prev;
     Node* next;
     long unlinked = 0;
@@ -142,15 +142,15 @@ class DllTmhp {
           used = initial_scatter();
         }
         Node* curr = tx.read(prev->next);
-        while (curr != nullptr && tx.read(curr->key) < key &&
+        while (curr != nullptr && curr->key < key &&
                used < window_) {
           prev = curr;
           curr = tx.read(curr->next);
           ++used;
         }
-        if (curr != nullptr && tx.read(curr->key) == key)
+        if (curr != nullptr && curr->key == key)
           return Step{on_found(tx, prev, curr), nullptr};
-        if (curr == nullptr || tx.read(curr->key) > key)
+        if (curr == nullptr || curr->key > key)
           return Step{on_not_found(tx, prev, curr), nullptr};
         hazards_.protect(kNextSlot, curr);
         return Step{std::nullopt, curr};

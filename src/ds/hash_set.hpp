@@ -110,7 +110,7 @@ class HashSet {
         Key last = std::numeric_limits<Key>::min();
         for (Node* n = tx.read(buckets_[b]->next); n != nullptr;
              n = tx.read(n->next)) {
-          const Key k = tx.read(n->key);
+          const Key k = n->key;
           if (k <= last) return false;
           if (bucket_of(k) != b) return false;
           last = k;
@@ -127,7 +127,7 @@ class HashSet {
 
  private:
   struct Node {
-    Key key;
+    const Key key;  // immutable after publication: read plainly
     Node* next;
     Node(Key k, Node* n) : key(k), next(n) {}
   };
@@ -152,18 +152,18 @@ class HashSet {
               used = initial_scatter();
             }
             Node* curr = tx.read(prev->next);
-            while (curr != nullptr && tx.read(curr->key) < key &&
+            while (curr != nullptr && curr->key < key &&
                    used < window_) {
               prev = curr;
               curr = tx.read(curr->next);
               ++used;
             }
-            if (curr != nullptr && tx.read(curr->key) == key) {
+            if (curr != nullptr && curr->key == key) {
               const bool result = on_found(tx, prev, curr);
               reservation_.release(tx);
               return result;
             }
-            if (curr == nullptr || tx.read(curr->key) > key) {
+            if (curr == nullptr || curr->key > key) {
               const bool result = on_not_found(tx, prev, curr);
               reservation_.release(tx);
               return result;

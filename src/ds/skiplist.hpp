@@ -81,7 +81,7 @@ class SkipList {
         int hops = 0;
         for (;;) {
           Node* next = tx.read(node->next[level]);
-          if (next != nullptr && tx.read(next->key) < key) {
+          if (next != nullptr && next->key < key) {
             node = next;
             if (++hops >= window_) {
               if (fusion.try_fuse()) {
@@ -93,7 +93,7 @@ class SkipList {
             }
             continue;
           }
-          if (next != nullptr && tx.read(next->key) == key) {
+          if (next != nullptr && next->key == key) {
             reservation_.release(tx);
             return Step{true, nullptr, 0};
           }
@@ -121,7 +121,7 @@ class SkipList {
       Node* preds[kMaxHeight];
       Node* succs[kMaxHeight];
       find_towers(tx, key, preds, succs);
-      if (succs[0] != nullptr && tx.read(succs[0]->key) == key) return false;
+      if (succs[0] != nullptr && succs[0]->key == key) return false;
       Node* fresh = tx.template alloc<Node>(key, height);
       for (int level = 0; level < height; ++level) {
         fresh->next[level] = succs[level];  // private until published
@@ -138,7 +138,7 @@ class SkipList {
       Node* succs[kMaxHeight];
       find_towers(tx, key, preds, succs);
       Node* victim = succs[0];
-      if (victim == nullptr || tx.read(victim->key) != key) return false;
+      if (victim == nullptr || victim->key != key) return false;
       const int height = victim->height;  // immutable
       for (int level = 0; level < height; ++level) {
         // At levels where the victim is the successor, splice it out.
@@ -169,7 +169,7 @@ class SkipList {
       Key last = std::numeric_limits<Key>::min();
       for (Node* n = tx.read(head_->next[0]); n != nullptr;
            n = tx.read(n->next[0])) {
-        const Key k = tx.read(n->key);
+        const Key k = n->key;
         if (k <= last) return false;
         last = k;
       }
@@ -197,7 +197,7 @@ class SkipList {
 
  private:
   struct Node {
-    Key key;
+    const Key key;  // immutable after publication: read plainly
     int height;
     Node* next[kMaxHeight];
     Node(Key k, int h) : key(k), height(h) {
@@ -211,7 +211,7 @@ class SkipList {
     Node* node = head_;
     for (int level = kMaxHeight - 1; level >= 0; --level) {
       Node* next = tx.read(node->next[level]);
-      while (next != nullptr && tx.read(next->key) < key) {
+      while (next != nullptr && next->key < key) {
         node = next;
         next = tx.read(node->next[level]);
       }

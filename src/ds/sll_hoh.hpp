@@ -108,7 +108,7 @@ class SllHoh {
       Node* n = tx.read(head_->next);
       while (n != nullptr) {
         Node* next = tx.read(n->next);
-        if (next != nullptr && tx.read(next->key) <= tx.read(n->key))
+        if (next != nullptr && next->key <= n->key)
           return false;
         n = next;
       }
@@ -154,7 +154,7 @@ class SllHoh {
 
  private:
   struct Node {
-    Key key;
+    const Key key;  // immutable after publication: read plainly
     Node* next;
     Node(Key k, Node* n) : key(k), next(n) {}
   };
@@ -194,7 +194,7 @@ class SllHoh {
             }
             Node* curr = tx.read(prev->next);
             // Traverse, fusing past window boundaries while budget lasts.
-            while (curr != nullptr && tx.read(curr->key) < key) {
+            while (curr != nullptr && curr->key < key) {
               if (used >= plan.window) {
                 if (!fusion.try_fuse()) break;
                 used = 0;  // boundary elided: a fresh window, same tx
@@ -204,13 +204,13 @@ class SllHoh {
               ++used;
             }
             // Match.
-            if (curr != nullptr && tx.read(curr->key) == key) {
+            if (curr != nullptr && curr->key == key) {
               const bool result = on_found(tx, prev, curr);
               reservation_.release(tx);
               return result;
             }
             // No match.
-            if (curr == nullptr || tx.read(curr->key) > key) {
+            if (curr == nullptr || curr->key > key) {
               const bool result = on_not_found(tx, prev, curr);
               reservation_.release(tx);
               return result;

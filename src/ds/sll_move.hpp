@@ -58,7 +58,7 @@ class SllMove {
       reservation_.register_thread(tx);
       Node* prev = find_prev(tx, key);
       Node* curr = tx.read(prev->next);
-      if (curr != nullptr && tx.read(curr->key) == key) return false;
+      if (curr != nullptr && curr->key == key) return false;
       Node* fresh = tx.template alloc<Node>(key, curr);
       tx.write(prev->next, fresh);
       return true;
@@ -70,7 +70,7 @@ class SllMove {
       reservation_.register_thread(tx);
       Node* prev = find_prev(tx, key);
       Node* curr = tx.read(prev->next);
-      if (curr == nullptr || tx.read(curr->key) != key) return false;
+      if (curr == nullptr || curr->key != key) return false;
       unlink_free(tx, prev, curr);
       return true;
     });
@@ -81,7 +81,7 @@ class SllMove {
       reservation_.register_thread(tx);
       Node* prev = find_prev(tx, key);
       Node* curr = tx.read(prev->next);
-      return curr != nullptr && tx.read(curr->key) == key;
+      return curr != nullptr && curr->key == key;
     });
   }
 
@@ -115,18 +115,18 @@ class SllMove {
         // re-walk transactionally. The walk is the atomic arbiter — if
         // it says the victim is absent, the move fails *atomically*.
         Node* vcurr = tx.read(vp->next);
-        while (vcurr != nullptr && tx.read(vcurr->key) < victim) {
+        while (vcurr != nullptr && vcurr->key < victim) {
           vp = vcurr;
           vcurr = tx.read(vcurr->next);
         }
-        if (vcurr == nullptr || tx.read(vcurr->key) != victim)
+        if (vcurr == nullptr || vcurr->key != victim)
           return Outcome::kFailed;  // victim not in the set
         Node* icurr = tx.read(ip->next);
-        while (icurr != nullptr && tx.read(icurr->key) < replacement) {
+        while (icurr != nullptr && icurr->key < replacement) {
           ip = icurr;
           icurr = tx.read(icurr->next);
         }
-        if (icurr != nullptr && tx.read(icurr->key) == replacement)
+        if (icurr != nullptr && icurr->key == replacement)
           return Outcome::kFailed;  // replacement already present
         // Splice. Three shapes, by how the two neighbourhoods overlap:
         Node* fresh = tx.template alloc<Node>(replacement, nullptr);
@@ -183,7 +183,7 @@ class SllMove {
       Node* n = tx.read(head_->next);
       while (n != nullptr) {
         Node* next = tx.read(n->next);
-        if (next != nullptr && tx.read(next->key) <= tx.read(n->key))
+        if (next != nullptr && next->key <= n->key)
           return false;
         n = next;
       }
@@ -193,7 +193,7 @@ class SllMove {
 
  private:
   struct Node {
-    Key key;
+    const Key key;  // immutable after publication: read plainly
     Node* next;
     Node(Key k, Node* n) : key(k), next(n) {}
   };
@@ -203,7 +203,7 @@ class SllMove {
   Node* find_prev(Tx& tx, Key key) {
     Node* prev = head_;
     Node* curr = tx.read(prev->next);
-    while (curr != nullptr && tx.read(curr->key) < key) {
+    while (curr != nullptr && curr->key < key) {
       prev = curr;
       curr = tx.read(curr->next);
     }
@@ -230,7 +230,7 @@ class SllMove {
         if (prev == nullptr) prev = head_;
         Node* curr = tx.read(prev->next);
         int used = 0;
-        while (curr != nullptr && tx.read(curr->key) < key &&
+        while (curr != nullptr && curr->key < key &&
                used < window_) {
           prev = curr;
           curr = tx.read(curr->next);
@@ -239,7 +239,7 @@ class SllMove {
         if (resume != nullptr && prev != resume && resume != keep)
           reservation_.release(tx, resume);
         if (prev != head_) reservation_.reserve(tx, prev);
-        const bool done = curr == nullptr || tx.read(curr->key) >= key;
+        const bool done = curr == nullptr || curr->key >= key;
         return Step{prev, done};
       });
       resume_ = step.node;

@@ -96,7 +96,7 @@ class SllRef {
 
  private:
   struct Node {
-    Key key;
+    const Key key;  // immutable after publication: read plainly
     Node* next;
     long unlinked = 0;
     // Separate cache line for the count, per the paper's optimization.
@@ -135,14 +135,14 @@ class SllRef {
           used = initial_scatter();
         }
         Node* curr = tx.read(prev->next);
-        while (curr != nullptr && tx.read(curr->key) < key &&
+        while (curr != nullptr && curr->key < key &&
                used < window_) {
           prev = curr;
           curr = tx.read(curr->next);
           ++used;
         }
-        if (curr == nullptr || tx.read(curr->key) >= key) {
-          const bool matched = curr != nullptr && tx.read(curr->key) == key;
+        if (curr == nullptr || curr->key >= key) {
+          const bool matched = curr != nullptr && curr->key == key;
           const bool result = matched ? on_found(tx, prev, curr)
                                       : on_not_found(tx, prev, curr);
           if (pinned_start) unpin(tx, resume);

@@ -105,7 +105,7 @@ class SllTmhp {
 
  private:
   struct Node {
-    Key key;
+    const Key key;  // immutable after publication: read plainly
     Node* next;
     long unlinked = 0;
     Node(Key k, Node* n) : key(k), next(n) {}
@@ -141,15 +141,15 @@ class SllTmhp {
           used = initial_scatter();
         }
         Node* curr = tx.read(prev->next);
-        while (curr != nullptr && tx.read(curr->key) < key &&
+        while (curr != nullptr && curr->key < key &&
                used < window_) {
           prev = curr;
           curr = tx.read(curr->next);
           ++used;
         }
-        if (curr != nullptr && tx.read(curr->key) == key)
+        if (curr != nullptr && curr->key == key)
           return Step{on_found(tx, prev, curr), nullptr};
-        if (curr == nullptr || tx.read(curr->key) > key)
+        if (curr == nullptr || curr->key > key)
           return Step{on_not_found(tx, prev, curr), nullptr};
         // Window boundary: publish the hazard *inside* the transaction —
         // if the transaction commits, curr was reachable at commit time,

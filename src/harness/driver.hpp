@@ -65,8 +65,8 @@ TimedRun run_timed(int threads, int footprint_ms,
 /// and always from the end-of-timed-phase snapshot.
 ///
 /// `columns` are the bench-specific integer columns printed after the
-/// standard block, in order (kv_hits, ..., net_bytes_out); emit_row
-/// names them in the `# columns:` header.
+/// standard block, in order (kv_ycsb's kv_hits, ..., kv_scan_resumes);
+/// emit_row names them in the `# columns:` header.
 struct CellResult {
   util::Summary mops;
   std::uint64_t ops = 0;  // operations completed over all timed phases

@@ -1190,7 +1190,31 @@ class Store {
                         : detail::precedes(chash, ckey, h, k);
     };
     std::size_t visited = 0;
-    std::vector<std::pair<std::string, std::string>> batch;
+    // One window's entries, copied out of the transaction for delivery.
+    // The thread's buffer (one per visitor type F) keeps its strings'
+    // capacity across windows and scans (assign, not construct), so
+    // steady-state delivery allocates nothing; a visitor that re-enters a
+    // scan on this thread while this one delivers gets a call-local
+    // buffer instead.
+    struct EntryBuffer {
+      std::vector<std::pair<std::string, std::string>> entries;
+      std::size_t size = 0;
+      bool busy = false;
+      void push(std::string_view k, std::string_view v) {
+        if (size == entries.size()) entries.emplace_back();
+        entries[size].first.assign(k);
+        entries[size].second.assign(v);
+        ++size;
+      }
+    };
+    thread_local EntryBuffer thread_buffer;
+    EntryBuffer call_buffer;
+    EntryBuffer& batch = thread_buffer.busy ? call_buffer : thread_buffer;
+    batch.busy = true;
+    struct Unclaim {
+      EntryBuffer& b;
+      ~Unclaim() { b.busy = false; }
+    } unclaim{batch};
     bool handed_over = false;
     detail::Node* parked_raw = nullptr;  // what this scan's last park reserved
     std::uint64_t parked_log2 = 0;
@@ -1202,7 +1226,7 @@ class Store {
       detail::Node* new_parked = nullptr;
       std::uint64_t new_parked_log2 = 0;
       const ScanStep step = TM::atomically([&](Tx& tx) -> ScanStep {
-        batch.clear();
+        batch.size = 0;
         position_lost = false;
         reservation_.register_thread(tx);
         detail::Table* old = tx.read(sh.old);
@@ -1267,12 +1291,11 @@ class Store {
             continue;
           }
           if (past_cursor(curr->hash, curr->key())) {
-            if (visited + batch.size() >= limit) {
+            if (visited + batch.size >= limit) {
               reservation_.release(tx);
               return ScanStep::kLimit;
             }
-            batch.emplace_back(std::string(curr->key()),
-                               std::string(curr->value()));
+            batch.push(curr->key(), curr->value());
             // Only *emitted* entries consume window budget. Nodes
             // skipped while re-walking toward the cursor (a reseek's
             // chain prefix, bounded by the grow policy like every keyed
@@ -1293,7 +1316,7 @@ class Store {
         }
       });
       scan_windows_.fetch_add(1, std::memory_order_relaxed);
-      util::trace_event(util::Ev::kKvScanWindow, batch.size());
+      util::trace_event(util::Ev::kKvScanWindow, batch.size);
       if (position_lost) {
         if constexpr (RR::kReal) {
           // With a real reservation a lost cursor is contention (someone
@@ -1313,12 +1336,12 @@ class Store {
       // last emitted position; the visitor may re-enter the store (its
       // ops reuse this thread's reservation — the resume check above
       // keeps that safe).
-      for (const auto& entry : batch) {
-        fn(entry.first, entry.second);
+      for (std::size_t i = 0; i < batch.size; ++i) {
+        fn(batch.entries[i].first, batch.entries[i].second);
         ++visited;
       }
-      if (!batch.empty()) {
-        ckey = batch.back().first;
+      if (batch.size > 0) {
+        ckey = batch.entries[batch.size - 1].first;
         chash = detail::hash_bytes(ckey);
         cinclusive = false;
       }

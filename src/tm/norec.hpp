@@ -124,6 +124,10 @@ class Norec {
 
     bool in_serial_mode() const noexcept { return serial_; }
 
+    /// Words in the read log: the running attempt's, or after it ends
+    /// the last attempt's (begin clears it). Diagnostics and tests only.
+    std::size_t logged_reads() const noexcept { return reads_.size(); }
+
    private:
     struct ReadEntry {
       const void* addr;

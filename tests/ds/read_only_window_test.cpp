@@ -4,10 +4,14 @@
 // window that merely moves its reservation must not advance the backend's
 // global commit clock (NOrec/TML seqlock, TL2/TLEager version clock), and
 // it must still commit exactly once per window: the saving is in writer
-// commits, not in commits.
+// commits, not in commits. Plus the read-set gate: node keys are
+// immutable after publication and read plainly (docs/ALGORITHMS.md), so
+// a window logs one word per node it walks, not two.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/rr_v.hpp"
 #include "ds/sll_hoh.hpp"
@@ -59,6 +63,25 @@ TYPED_TEST(ReadOnlyWindowTest, MultiWindowContainsAdvancesNoClock) {
   // Not vacuous: an update commits as a writer and moves the clock.
   ASSERT_TRUE(list.remove(60));
   EXPECT_NE(TM::commit_clock(), clock);
+}
+
+TEST(ReadSetGate, NorecWindowLogsOneWordPerNode) {
+  constexpr int kW = 16;
+  constexpr std::size_t kSlack = 4;
+  SllHoh<tm::Norec, rr::RrV<tm::Norec>> list(kW, /*scatter=*/false);
+  for (long i = 0; i < 4 * kW; ++i) ASSERT_TRUE(list.insert(i));
+
+  // The hook runs right after each window boundary commits, when the
+  // thread's NOrec descriptor still holds that window's read log.
+  std::vector<std::size_t> logged;
+  list.set_handover_hook_for_testing(
+      [&] { logged.push_back(tm::Norec::tls_tx().logged_reads()); });
+  EXPECT_TRUE(list.contains(4 * kW - 1));
+  ASSERT_GE(logged.size(), 2u) << "the lookup must cross window boundaries";
+  for (const std::size_t words : logged) {
+    EXPECT_GE(words, static_cast<std::size_t>(kW));  // each `next` is logged
+    EXPECT_LE(words, kW + kSlack) << "a node's key entered the read set";
+  }
 }
 
 }  // namespace

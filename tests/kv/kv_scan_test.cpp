@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -286,6 +287,58 @@ TEST(KvScan, NullReservationReseeksEveryWindow) {
   // least one boundary came back nil and was reseeked.
   EXPECT_GE(store.scan_windows(), 5u);
   EXPECT_EQ(store.scan_resumes(), 0u);
+}
+
+// The visitor may re-enter the store (docs/KV.md, "Range scans"): here
+// it runs a get, an overwriting put and a nested multi-window scan_from
+// on the same store and thread, while the outer scan still has entries
+// of its current window waiting for delivery. Both scans use one visitor
+// type, so they run the same scan_impl instantiation and would share its
+// per-thread entry buffer if the nested scan did not get its own. Both
+// must match the mirror exactly, and the strings the outer visitor was
+// handed must survive the nested scan.
+TEST(KvScan, VisitorReentersStoreMidWindow) {
+  using Visitor = std::function<void(const std::string&, const std::string&)>;
+  ScanStore::Options opt;
+  opt.window = 4;  // several entries per window; nested scans span windows
+  ScanStore store(opt);
+  std::map<std::string, std::string> ref;
+  for (int i = 0; i < 120; ++i) {
+    const std::string key = "re" + std::to_string(i);
+    store.put(key, "v" + std::to_string(i));
+    ref[key] = "v" + std::to_string(i);
+  }
+  store.finish_migration();
+  std::vector<Entry> sorted(ref.begin(), ref.end());
+  std::sort(sorted.begin(), sorted.end(), entry_canon_less);
+
+  constexpr std::size_t kNested = 10;
+  std::vector<Entry> nested;
+  Visitor collect = [&](const std::string& k, const std::string& v) {
+    nested.emplace_back(k, v);
+  };
+  std::vector<Entry> got;
+  std::size_t nested_scans = 0;
+  Visitor visit = [&](const std::string& k, const std::string& v) {
+    got.emplace_back(k, v);
+    if (got.size() % 3 != 0) return;
+    const Entry entry = got.back();
+    std::string value;
+    EXPECT_TRUE(store.get(entry.first, value));
+    EXPECT_EQ(value, ref.at(entry.first));
+    store.put(entry.first, value);  // same value: the mirror still holds
+    nested.clear();
+    const std::size_t visits = store.scan_from(entry.first, kNested, collect);
+    EXPECT_EQ(visits, nested.size());
+    EXPECT_EQ(nested, expected_range(ref, entry.first, kNested))
+        << "nested scan from " << entry.first;
+    ++nested_scans;
+    EXPECT_EQ(Entry(k, v), entry)
+        << "the nested scan overwrote the outer scan's entry";
+  };
+  EXPECT_EQ(store.scan(ref.size(), visit), ref.size());
+  EXPECT_EQ(got, sorted);
+  EXPECT_EQ(nested_scans, ref.size() / 3);
 }
 
 // Scans allocate nothing: a scanned-then-emptied store leaves the Gauge

@@ -270,11 +270,21 @@ TEST(KvDifferential, TlEagerMatchesGlockOracle) {
 }
 
 // A second seed per backend guards against a lucky script (same policy
-// as differential_test.cpp).
-TEST(KvDifferential, SecondSeedSweep) {
+// as differential_test.cpp). One test per backend, so each stays inside
+// the per-test timeout under ThreadSanitizer.
+TEST(KvDifferential, TmlSecondSeed) {
   diff_against_oracle<hohtm::tm::Tml>(0xba5eba11ULL);
+}
+
+TEST(KvDifferential, NorecSecondSeed) {
   diff_against_oracle<hohtm::tm::Norec>(0xba5eba11ULL);
+}
+
+TEST(KvDifferential, Tl2SecondSeed) {
   diff_against_oracle<hohtm::tm::Tl2>(0xba5eba11ULL);
+}
+
+TEST(KvDifferential, TlEagerSecondSeed) {
   diff_against_oracle<hohtm::tm::TlEager>(0xba5eba11ULL);
 }
 

@@ -281,4 +281,100 @@ TEST(SchedTm, QuiescenceSkipWaitMutantCaught) {
   EXPECT_EQ(format_steps(again.failing_steps), format_steps(r.failing_steps));
 }
 
+// ---------------------------------------------------------------------------
+// Plain reads of immutable node fields (docs/ALGORITHMS.md, "Immutable
+// fields are read plainly"), at the structure level: a reader reaches
+// node X through a validated tx.read(head.next), is preempted, and then
+// reads X->key plainly, as every src/ds/ traversal does. A remover
+// unlinks X and deallocates in the same transaction; its deferred free
+// runs behind the commit-time quiescence fence. X is static so the key
+// stays readable after the "free": the remover deallocates a stand-in
+// whose destructor poisons X->key, so the poison lands exactly where X's
+// free would. No reader attempt, doomed or not, may see the poison.
+
+struct PlainKeyState {
+  struct Node {
+    long key;
+    Node* next;
+  };
+  static constexpr long kPoison = -1;
+  static inline Node x{20, nullptr};
+  static inline Node head{0, &x};
+  static inline bool saw_poison = false;
+  struct FreeStandIn {
+    ~FreeStandIn() { x.key = kPoison; }
+  };
+};
+
+template <class TM>
+Scenario plain_key_scenario() {
+  using S = PlainKeyState;
+  Scenario s;
+  s.setup = [] {
+    S::x = {20, nullptr};
+    S::head = {0, &S::x};
+    S::saw_poison = false;
+  };
+  s.bodies = {
+      [] {
+        TM::atomically([](auto& tx) {
+          S::Node* n = tx.read(S::head.next);
+          Scheduler::yield(hohtm::sched::Op::kUserMark);
+          if (n != nullptr && n->key == S::kPoison) S::saw_poison = true;
+        });
+      },
+      [] {
+        TM::atomically([](auto& tx) {
+          S::Node* victim = tx.read(S::head.next);
+          tx.write(S::head.next, tx.read(victim->next));
+          tx.dealloc(tx.template alloc<S::FreeStandIn>());
+        });
+      },
+  };
+  s.check = [] {
+    return S::saw_poison
+               ? std::string("a reader read the key of a freed node")
+               : std::string();
+  };
+  return s;
+}
+
+template <class TM>
+void expect_plain_key_reads_safe() {
+  ScenarioGuard guard;
+  const ExploreResult r =
+      explore_dfs(plain_key_scenario<TM>(), 20000 * depth_multiplier(), 400);
+  EXPECT_FALSE(r.failed) << TM::name() << ": " << describe(r);
+}
+
+template <class TM>
+void expect_plain_key_mutant_caught() {
+  ScenarioGuard guard;
+  const Scenario s = plain_key_scenario<TM>();
+  set_mutation(Mutation::kSkipQuiescenceWait);
+  const ExploreResult r = explore_dfs(s, 20000 * depth_multiplier(), 400);
+  ASSERT_TRUE(r.failed) << TM::name() << ": mutant survived " << describe(r);
+  const ExploreResult again = replay_choices(s, r.failing_choices, 400);
+  EXPECT_TRUE(again.failed) << TM::name() << ": " << describe(again);
+  EXPECT_EQ(format_steps(again.failing_steps), format_steps(r.failing_steps))
+      << TM::name() << ": replay diverged";
+}
+
+TEST(SchedTm, NorecPlainKeyReadNeverSeesFreedNode) {
+  REQUIRE_SCHED_BUILD();
+  expect_plain_key_reads_safe<hohtm::tm::Norec>();
+}
+TEST(SchedTm, TmlPlainKeyReadNeverSeesFreedNode) {
+  REQUIRE_SCHED_BUILD();
+  expect_plain_key_reads_safe<hohtm::tm::Tml>();
+}
+TEST(SchedTm, NorecPlainKeySkipWaitMutantCaught) {
+  REQUIRE_SCHED_BUILD();
+  expect_plain_key_mutant_caught<hohtm::tm::Norec>();
+}
+TEST(SchedTm, TmlPlainKeySkipWaitMutantCaught) {
+  REQUIRE_SCHED_BUILD();
+  expect_plain_key_mutant_caught<hohtm::tm::Tml>();
+}
+
 }  // namespace
