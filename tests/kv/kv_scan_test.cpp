@@ -1,23 +1,27 @@
 // Range-scan coverage for the sharded KV store (docs/KV.md, "Range
 // scans"): canonical (hash, key) order against a sorted mirror, edge
 // cases (empty store, limit 0/1, absent start key), scans that span
-// shard boundaries, scans against a store frozen mid-resize, and the
-// scan telemetry counters. Everything here is single-threaded and
-// deterministic — the concurrent interleavings live in
-// tests/sched/sched_scan_test.cpp, and the smoke that forces a resize
-// *during* a scan is bench/kv_ycsb --workload=E --smoke.
+// shard boundaries, scans against a store frozen mid-resize, a scan
+// whose visitor forces grows mid-scan, and the scan telemetry counters,
+// down to a YCSB-E cell's CSV columns. Everything here is
+// single-threaded and deterministic — the concurrent interleavings live
+// in tests/sched/sched_scan_test.cpp.
 #include "kv/store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/rr.hpp"
+#include "kv/workload.hpp"
 #include "reclaim/gauge.hpp"
 
 namespace hohtm {
@@ -339,6 +343,110 @@ TEST(KvScan, VisitorReentersStoreMidWindow) {
   EXPECT_EQ(store.scan(ref.size(), visit), ref.size());
   EXPECT_EQ(got, sorted);
   EXPECT_EQ(nested_scans, ref.size() / 3);
+}
+
+/// Puts the first `n` workload keys into `store`, settles migration, and
+/// returns the keys in canonical order.
+std::vector<std::string> prefill_canonical(ScanStore& store, std::size_t n) {
+  std::vector<std::string> keys;
+  for (std::size_t r = 0; r < n; ++r) {
+    keys.push_back(kv::make_key(r));
+    store.put(keys.back(), kv::make_value(r, 0));
+  }
+  store.finish_migration();
+  std::sort(keys.begin(), keys.end(), canon_less);
+  return keys;
+}
+
+TEST(KvScan, ScanFromMidOrderKeyReturnsCanonicalSlice) {
+  ScanStore::Options opt;
+  opt.window = 4;
+  ScanStore store(opt);
+  const std::vector<std::string> keys = prefill_canonical(store, 256);
+  const std::size_t at = keys.size() / 2;
+  std::vector<std::string> slice;
+  EXPECT_EQ(store.scan_from(keys[at], 10,
+                            [&](const std::string& k, const std::string&) {
+                              slice.push_back(k);
+                            }),
+            10u);
+  EXPECT_EQ(slice, std::vector<std::string>(keys.begin() + at,
+                                            keys.begin() + at + 10));
+}
+
+// A whole-store scan whose visitor re-enters the store after 64 entries
+// with a 512-key insert burst, forcing table grows underneath the parked
+// cursor. The result stays strictly ascending (so duplicate-free), holds
+// every prefill key and nothing but prefill and burst keys, the grows
+// and cursor reseeks really ran, and teardown frees every node.
+TEST(KvScan, FullScanSurvivesGrowsForcedMidScan) {
+  const long long baseline = reclaim::Gauge::live();
+  {
+    ScanStore::Options opt;
+    opt.window = 4;
+    ScanStore store(opt);
+    const std::vector<std::string> prefill = prefill_canonical(store, 256);
+    const std::uint64_t swaps_before = store.tables_swapped();
+    const std::uint64_t resumes_before = store.scan_resumes();
+    std::vector<std::string> seen;
+    std::set<std::string> burst;
+    store.scan(std::numeric_limits<std::size_t>::max(),
+               [&](const std::string& k, const std::string&) {
+                 seen.push_back(k);
+                 if (seen.size() != 64) return;
+                 for (std::uint64_t rank = 100000; rank < 100512; ++rank) {
+                   burst.insert(kv::make_key(rank));
+                   store.put(kv::make_key(rank), kv::make_value(rank, 0));
+                 }
+               });
+    const auto unordered = std::adjacent_find(
+        seen.begin(), seen.end(),
+        [](const std::string& a, const std::string& b) {
+          return !canon_less(a, b);
+        });
+    EXPECT_TRUE(unordered == seen.end())
+        << "out of canonical order or duplicated at index "
+        << unordered - seen.begin();
+    const std::set<std::string> seen_set(seen.begin(), seen.end());
+    const auto missing = std::count_if(
+        prefill.begin(), prefill.end(),
+        [&](const std::string& k) { return seen_set.count(k) == 0; });
+    EXPECT_EQ(missing, 0) << "prefill keys missing from the scan";
+    const auto phantoms =
+        std::count_if(seen.begin(), seen.end(), [&](const std::string& k) {
+          return burst.count(k) == 0 &&
+                 !std::binary_search(prefill.begin(), prefill.end(), k,
+                                     canon_less);
+        });
+    EXPECT_EQ(phantoms, 0) << "keys never inserted surfaced in the scan";
+    EXPECT_GT(store.tables_swapped(), swaps_before)
+        << "the insert burst forced no resize";
+    EXPECT_GT(store.scan_resumes(), resumes_before)
+        << "no cursor resume recorded under the forced resize";
+  }
+  EXPECT_EQ(reclaim::Gauge::live(), baseline);
+}
+
+// A YCSB-E cell through run_kv_cell: every scan op is counted once in
+// kv_scans (a scan op either hits or misses), and each commits at least
+// one window.
+TEST(KvScan, YcsbECellScanColumnsAreLive) {
+  kv::KvWorkloadConfig config;
+  config.mix = kv::Mix::kE;
+  config.records = 512;
+  config.threads = 1;
+  config.ops_per_thread = 500;
+  config.trials = 1;
+  config.max_scan_len = 32;
+  const harness::CellResult cell = kv::run_kv_cell(config, [] {
+    ScanStore::Options opt;
+    opt.window = 8;
+    return std::make_unique<ScanStore>(opt);
+  });
+  const std::uint64_t scans = cell.column("kv_scans");
+  EXPECT_GT(scans, 0u);
+  EXPECT_EQ(scans, cell.column("kv_hits") + cell.column("kv_misses"));
+  EXPECT_GE(cell.column("kv_scan_windows"), scans);
 }
 
 // Scans allocate nothing: a scanned-then-emptied store leaves the Gauge

@@ -1,19 +1,29 @@
-// KV workload generator: key construction must be collision-free.
+// KV workload generator and cells.
 //
 // make_key documents that the splitmix64 scramble is invertible, hence
 // collision-free — but that only holds if the key embeds the *entire*
 // scrambled rank. A truncated hex emission (the bug this pins) keeps
 // only the top 4*digits bits, so distinct ranks can silently collide
 // and shrink the prefilled key population under the workload's feet.
+//
+// The cell tests run whole single-thread YCSB-C cells through
+// run_kv_cell: reads hit, teardown frees every node (precise reclamation
+// end to end), and window fusion's commit and boundary counts are pinned
+// exactly.
 #include "kv/workload.hpp"
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_set>
 
 #include <gtest/gtest.h>
 
+#include "core/rr.hpp"
+#include "reclaim/gauge.hpp"
 #include "util/zipfian.hpp"
 
 namespace hohtm::kv {
@@ -62,6 +72,75 @@ TEST(KvWorkloadKey, UniqueOverLargeRankRange) {
       ASSERT_TRUE(seen.insert(make_key(rank)).second)
           << "rank " << rank << " collided: " << make_key(rank);
     }
+}
+
+using CellStore = Store<tm::Norec, rr::RrV<tm::Norec>>;
+
+KvWorkloadConfig read_only_cell() {
+  KvWorkloadConfig config;
+  config.mix = Mix::kC;
+  config.records = 512;
+  config.threads = 1;
+  config.ops_per_thread = 2000;
+  config.trials = 1;
+  return config;
+}
+
+// Every key the zipfian draws was prefilled, so every read hits; and
+// once the cell's store is gone, every node it allocated is freed.
+TEST(KvWorkloadCell, ReadOnlyCellHitsAndFreesEveryNode) {
+  const long long baseline = reclaim::Gauge::live();
+  const KvWorkloadConfig config = read_only_cell();
+  const harness::CellResult cell = run_kv_cell(config, [] {
+    CellStore::Options opt;
+    opt.window = 16;
+    return std::make_unique<CellStore>(opt);
+  });
+  EXPECT_GT(cell.mops.mean, 0.0);
+  EXPECT_EQ(cell.column("kv_hits"), config.ops_per_thread);
+  EXPECT_EQ(cell.column("kv_misses"), 0u);
+  EXPECT_EQ(reclaim::Gauge::live() - baseline, 0)
+      << "objects leaked past store teardown";
+}
+
+// The same cell on a table frozen at its initial size (long chains, so a
+// window of 4 hands over many times per op), unfused and then with a
+// fusion budget, every count pinned: fusion elides boundary transactions
+// and adds no abort and no quiescence wait. The counts are deterministic
+// only for a fixed process history: each worker seeds its first-window
+// scatter (Store::initial_scatter) from its thread-registry generation,
+// so threads registered by earlier tests in the same process shift them.
+// The cells therefore run in a freshly executed copy of this binary (a
+// threadsafe-style death test), which prints the counts for the parent
+// to match.
+TEST(KvWorkloadCell, FrozenWindowFourFusionCountsAreExact) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto frozen_cell = [](int fusion_cap) {
+    return run_kv_cell(read_only_cell(), [&] {
+      CellStore::Options opt;
+      opt.window = 4;
+      opt.max_log2_buckets = opt.log2_buckets;  // no growth: long chains
+      opt.fusion_cap = fusion_cap;
+      return std::make_unique<CellStore>(opt);
+    }).counters;
+  };
+  auto print = [](const char* name, const tm::StatCounters& c) {
+    std::fprintf(stderr, "%s: commits=%llu fused_windows=%llu aborts=%llu "
+                 "qwaits=%llu\n", name,
+                 static_cast<unsigned long long>(c.commits),
+                 static_cast<unsigned long long>(c.fused_windows),
+                 static_cast<unsigned long long>(c.aborts),
+                 static_cast<unsigned long long>(c.quiescence_waits));
+  };
+  EXPECT_EXIT(
+      {
+        print("unfused", frozen_cell(0));
+        print("fused", frozen_cell(16));
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0),
+      "unfused: commits=7819 fused_windows=0 aborts=0 qwaits=0\n"
+      "fused: commits=2029 fused_windows=7052 aborts=0 qwaits=0\n");
 }
 
 }  // namespace

@@ -1,12 +1,9 @@
 #!/usr/bin/env python3
-"""ctest-registered checks for tools/metrics_report.py and
-tools/bench_compare.py: the metrics-plane snapshot must render, the
-attribution-sum invariants must be enforced exactly, and the perf-smoke
-gate must seed its baseline on first run, hard-fail structural
-regressions, and gate throughput by HOHTM_BENCH_TOLERANCE. Pure stdlib;
-crafted snapshots, no bench binaries involved."""
+"""ctest-registered checks for tools/metrics_report.py: the metrics-plane
+snapshot must render, and the attribution-sum invariants must be
+enforced exactly. Pure stdlib; crafted snapshots, no bench binaries
+involved."""
 
-import copy
 import json
 import os
 import subprocess
@@ -19,7 +16,6 @@ REPO = Path(__file__).resolve().parents[2]
 TOOLS = REPO / "tools"
 sys.path.insert(0, str(TOOLS))
 
-import bench_compare  # noqa: E402
 import metrics_report  # noqa: E402
 
 
@@ -66,23 +62,6 @@ def snapshot(res_lost=4, attributed=3, unknown=1):
 def write_json(doc, suffix=".json"):
     handle = tempfile.NamedTemporaryFile("w", suffix=suffix, delete=False)
     json.dump(doc, handle)
-    handle.close()
-    return handle.name
-
-
-SMOKE_CSV = """\
-# kv smoke capture
-fig7,kv,rr-fa,4,12.5000,0.90,1000,50
-fig7,kv,hazard,4,8.0000,0.70,1000,50
-timeline,fig7,kv,rr-fa,4,0.00,10
-not,enough,cols
-fig7,kv,rr-fa,oops,1.0,0.5
-"""
-
-
-def write_csv(text=SMOKE_CSV):
-    handle = tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False)
-    handle.write(text)
     handle.close()
     return handle.name
 
@@ -210,176 +189,6 @@ class RenderCliTest(unittest.TestCase):
         doc["sections"]["watchdog"]["active_threads"] = 3
         proc = self.run_tool(doc)
         self.assertIn("STALLED: 2 stalled of 3 active", proc.stdout)
-
-
-class BenchRowsTest(unittest.TestCase):
-    def test_load_rows_skips_comments_timelines_and_malformed(self):
-        path = write_csv()
-        try:
-            rows = bench_compare.load_rows(path)
-        finally:
-            os.unlink(path)
-        self.assertEqual([r["series"] for r in rows], ["rr-fa", "hazard"])
-        self.assertEqual(rows[0]["threads"], 4)
-        self.assertEqual(rows[0]["mops"], 12.5)
-
-
-class BenchCompareTest(unittest.TestCase):
-    """Drive emit/check through the CLI so argument wiring is covered."""
-
-    def setUp(self):
-        self.tmp = tempfile.TemporaryDirectory(prefix="bench_compare_test_")
-        self.dir = Path(self.tmp.name)
-        self.baseline = self.dir / "BENCH_9.baseline.json"
-        self.artifact = self.dir / "BENCH_9.json"
-
-    def tearDown(self):
-        self.tmp.cleanup()
-
-    def run_tool(self, *argv, env_extra=None):
-        env = dict(os.environ)
-        env.pop("HOHTM_BENCH_TOLERANCE", None)
-        if env_extra:
-            env.update(env_extra)
-        return subprocess.run(
-            [sys.executable, str(TOOLS / "bench_compare.py"), *argv],
-            capture_output=True, text=True, timeout=60, env=env)
-
-    def emit(self, csv_text=SMOKE_CSV, metrics=None):
-        csv_path = write_csv(csv_text)
-        metrics_path = write_json(metrics or snapshot())
-        try:
-            proc = self.run_tool("emit", csv_path, metrics_path,
-                                 "-o", str(self.artifact))
-        finally:
-            os.unlink(csv_path)
-            os.unlink(metrics_path)
-        return proc
-
-    def check(self, env_extra=None):
-        return self.run_tool("check", str(self.artifact),
-                             "--baseline", str(self.baseline),
-                             env_extra=env_extra)
-
-    def test_emit_builds_the_artifact(self):
-        proc = self.emit()
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        artifact = json.loads(self.artifact.read_text())
-        self.assertEqual(artifact["schema"], bench_compare.SCHEMA)
-        self.assertEqual(len(artifact["rows"]), 2)
-        self.assertIn("sections", artifact["metrics"])
-
-    def test_emit_fails_on_empty_csv(self):
-        proc = self.emit(csv_text="# nothing\n")
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("no bench rows", proc.stderr)
-
-    def test_first_check_seeds_the_baseline(self):
-        self.emit()
-        proc = self.check()
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertIn("seeded baseline", proc.stdout)
-        self.assertIn("commit it", proc.stdout)
-        self.assertEqual(json.loads(self.baseline.read_text()),
-                         json.loads(self.artifact.read_text()))
-
-    def test_second_check_passes_against_the_seed(self):
-        self.emit()
-        self.check()
-        proc = self.check()
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertIn("bench compare ok: 2 baseline rows held", proc.stdout)
-
-    def test_broken_metrics_never_seed_a_baseline(self):
-        bad = snapshot()
-        bad["sections"]["tm"]["attribution"]["losses_attributed"] = 0
-        self.emit(metrics=bad)
-        proc = self.check()
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("FAIL (artifact)", proc.stderr)
-        self.assertFalse(self.baseline.exists())
-
-    def test_missing_row_is_a_structural_failure(self):
-        self.emit()
-        self.check()  # seed with both series
-        one_series = ("fig7,kv,rr-fa,4,12.5000,0.90,1000,50\n")
-        self.emit(csv_text=one_series)
-        proc = self.check()
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("row missing from artifact", proc.stderr)
-        self.assertIn("hazard", proc.stderr)
-
-    def test_empty_heatmap_is_a_structural_failure(self):
-        self.emit()
-        self.check()
-        cold = snapshot()
-        cold["sections"]["kv_heatmap"] = []
-        self.emit(metrics=cold)
-        proc = self.check()
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("contention heatmap is empty", proc.stderr)
-
-    def test_missing_watchdog_is_a_structural_failure(self):
-        self.emit()
-        self.check()
-        mute = snapshot()
-        del mute["sections"]["watchdog"]
-        self.emit(metrics=mute)
-        proc = self.check()
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("watchdog section missing", proc.stderr)
-
-    def test_throughput_floor_fails_a_slow_row(self):
-        self.emit()
-        self.check()
-        slow = SMOKE_CSV.replace("12.5000", "1.0000")  # 8% of baseline
-        self.emit(csv_text=slow)
-        proc = self.check()
-        self.assertEqual(proc.returncode, 1)
-        self.assertIn("Mops < floor", proc.stderr)
-        self.assertIn("rr-fa", proc.stderr)
-
-    def test_tolerance_zero_disables_the_throughput_gate(self):
-        self.emit()
-        self.check()
-        slow = SMOKE_CSV.replace("12.5000", "1.0000")
-        self.emit(csv_text=slow)
-        proc = self.check(env_extra={"HOHTM_BENCH_TOLERANCE": "0"})
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-        self.assertIn("tolerance 0%", proc.stdout)
-
-    def test_wide_tolerance_passes_a_mild_dip(self):
-        self.emit()
-        self.check()
-        mild = SMOKE_CSV.replace("12.5000", "9.0000")  # 72% of baseline
-        self.emit(csv_text=mild)
-        proc = self.check()
-        self.assertEqual(proc.returncode, 0, proc.stderr)
-
-
-class StructuralUnitTest(unittest.TestCase):
-    """Direct calls into the module for the pieces the CLI shares."""
-
-    def artifact(self):
-        return {"schema": 1,
-                "rows": [{"figure": "fig7", "panel": "kv",
-                          "series": "rr-fa", "threads": 4, "mops": 10.0}],
-                "metrics": snapshot()}
-
-    def test_structural_ok_against_itself(self):
-        art = self.artifact()
-        self.assertEqual(
-            bench_compare.structural_problems(art, copy.deepcopy(art)), [])
-
-    def test_throughput_floor_math(self):
-        art = self.artifact()
-        base = copy.deepcopy(art)
-        art["rows"][0]["mops"] = 3.9  # floor at tolerance .60 is 4.0
-        problems = bench_compare.throughput_problems(art, base, 0.60)
-        self.assertEqual(len(problems), 1)
-        art["rows"][0]["mops"] = 4.1
-        self.assertEqual(
-            bench_compare.throughput_problems(art, base, 0.60), [])
 
 
 if __name__ == "__main__":

@@ -1,19 +1,29 @@
-// Deterministic unit tests for the always-on metrics plane
-// (util::MetricsRegistry), the kv contention heatmap (kv::ContentionMap),
-// and the reclamation-stall watchdog (reclaim::Watchdog). No sleeps and
-// no wall-clock dependence: the watchdog is driven with explicit
-// timestamps, and the concurrent snapshot test asserts monotonicity, not
-// timing.
+// Unit tests for the always-on metrics plane (util::MetricsRegistry),
+// the kv contention heatmap (kv::ContentionMap), and the reclamation-stall
+// watchdog (reclaim::Watchdog), plus the plane end to end: a contended kv
+// cell whose causal-attribution buckets must sum exactly to its
+// reservation losses, and a thread parked inside a real transaction that
+// the watchdog must report. No sleeps and no wall-clock dependence: the
+// watchdog is driven with explicit timestamps, and the concurrent
+// snapshot test asserts monotonicity, not timing.
+//
+// With $HOHTM_METRICS_FILE set, the attribution test leaves its snapshot
+// there at exit; scripts/check.sh --metrics runs tools/metrics_report.py
+// --check over it.
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/rr.hpp"
+#include "harness/metrics.hpp"
 #include "kv/contention.hpp"
+#include "kv/workload.hpp"
 #include "reclaim/watchdog.hpp"
 #include "util/barrier.hpp"
 #include "util/metrics.hpp"
@@ -22,6 +32,7 @@ namespace {
 
 using hohtm::kv::ContentionMap;
 using hohtm::reclaim::Watchdog;
+using hohtm::tm::Norec;
 using hohtm::util::MetricsRegistry;
 
 TEST(MetricsRegistry, RegistrationIsIdempotentByName) {
@@ -187,6 +198,97 @@ TEST(WatchdogTest, ThresholdIsAdjustable) {
   EXPECT_GE(Watchdog::check(200).stalled_threads, 1);  // 100ns >> 10ns
   Watchdog::on_deactivate();
   Watchdog::set_threshold_ns(saved);
+}
+
+// The hooks themselves, not direct on_publish() calls: a thread blocked
+// inside a real TM::atomically body (begin() has published its
+// quiescence slot) must be the one active thread, and the one stalled
+// thread once a check lands past the threshold.
+TEST(WatchdogTest, ReportsThreadParkedInsideRealTransaction) {
+  Watchdog::reset_for_testing();
+  std::atomic<int> entered{0};
+  std::atomic<int> release{0};
+  std::thread parked([&] {
+    Norec::atomically([&](auto&) {
+      entered.store(1, std::memory_order_release);
+      entered.notify_all();
+      release.wait(0);
+    });
+  });
+  while (entered.load(std::memory_order_acquire) == 0) entered.wait(0);
+  const std::uint64_t t0 = 1;
+  const Watchdog::Report armed = Watchdog::check(t0);
+  const Watchdog::Report tripped =
+      Watchdog::check(t0 + Watchdog::threshold_ns() + 1);
+  release.store(1, std::memory_order_release);
+  release.notify_all();
+  parked.join();
+  EXPECT_EQ(armed.active_threads, 1);
+  EXPECT_EQ(armed.stalled_threads, 0);
+  EXPECT_EQ(tripped.active_threads, 1);
+  EXPECT_EQ(tripped.stalled_threads, 1);
+  EXPECT_GT(tripped.max_stall_ns, Watchdog::threshold_ns());
+  EXPECT_EQ(Watchdog::stall_events(), 1u);
+  // The transaction committed and deactivated: nothing is parked now.
+  const Watchdog::Report after =
+      Watchdog::check(t0 + 3 * Watchdog::threshold_ns());
+  EXPECT_EQ(after.active_threads, 0);
+  EXPECT_EQ(after.stalled_threads, 0);
+}
+
+// Causal attribution end to end: a zipfian YCSB-A cell on a frozen
+// single-shard, single-bucket table with window 4, so every op walks one
+// long chain through many handovers and overwrites revoke positions that
+// concurrent readers have parked. Every reservation loss lands in exactly
+// one aborter bucket and one site bucket, so both sums equal res_lost
+// exactly; the heatmap names a hot cell; and the snapshot document
+// carries the tm section (with the cell's own loss count), a non-empty
+// kv_heatmap and the watchdog section.
+TEST(KvAttribution, ContendedCellBucketsSumExactlyToLosses) {
+  using Store = hohtm::kv::Store<Norec, hohtm::rr::RrV<Norec>>;
+  hohtm::kv::KvWorkloadConfig config;
+  config.mix = hohtm::kv::Mix::kA;
+  config.records = 256;
+  config.threads = 4;
+  config.ops_per_thread = 4000;
+  config.trials = 1;
+  // On a many-core host every cell loses reservations; with one core a
+  // loss needs a preemption mid-window, and about one cell in four sees
+  // none. The sums must hold on every cell; the test needs one with
+  // losses in it, and stops at the first.
+  std::uint64_t losses = 0;
+  for (int attempt = 0; attempt < 8 && losses == 0; ++attempt) {
+    ContentionMap::reset();
+    const hohtm::harness::CellResult cell =
+        hohtm::kv::run_kv_cell(config, [] {
+          Store::Options opt;
+          opt.log2_shards = 0;
+          opt.log2_buckets = 0;
+          opt.max_log2_buckets = opt.log2_buckets;
+          opt.window = 4;
+          return std::make_unique<Store>(opt);
+        });
+    const auto& c = cell.counters;
+    losses = c.reservation_losses;
+    EXPECT_EQ(c.attributed_losses() + c.unknown_losses(), losses);
+    std::uint64_t site_sum = 0;
+    for (std::size_t i = 0; i < hohtm::tm::kRevokeSiteCount; ++i)
+      site_sum += c.loss_by_site[i];
+    EXPECT_EQ(site_sum, losses);
+  }
+  ASSERT_GT(losses, 0u) << "no cell lost a reservation: no adversary";
+
+  const auto hot = ContentionMap::top(1);
+  ASSERT_EQ(hot.size(), 1u) << "heatmap is empty";
+  EXPECT_GT(hot[0].weight, 0u);
+
+  const std::string doc = hohtm::harness::metrics_snapshot_json();
+  for (const char* section : {"\"tm\": {", "\"kv_heatmap\": [{",
+                              "\"watchdog\": {"})
+    EXPECT_NE(doc.find(section), std::string::npos) << section << "\n" << doc;
+  EXPECT_NE(doc.find("\"res_lost\":" + std::to_string(losses)),
+            std::string::npos)
+      << doc;
 }
 
 }  // namespace

@@ -15,8 +15,8 @@ contention heatmap, and the reclamation-stall watchdog state.
 
 With --check, additionally verifies the attribution invariants the
 metrics plane guarantees by construction and exits nonzero when any is
-violated (scripts/check.sh --metrics and the CI perf-smoke job run
-this):
+violated (scripts/check.sh --metrics, and so CI's metrics job, runs
+it over the snapshot the metrics-labeled attribution test leaves):
 
   * losses_attributed + losses_unknown == tm.res_lost   (exactly)
   * sum(loss_by_aborter) == tm.res_lost                 (exactly)
