@@ -25,9 +25,10 @@ void tm_section(std::FILE* out) {
   std::fprintf(out,
                "{\"commits\":%" PRIu64 ",\"aborts\":%" PRIu64
                ",\"serial_commits\":%" PRIu64 ",\"res_lost\":%" PRIu64
-               ",\"fused_windows\":%" PRIu64 ",\"fused_aborts\":%" PRIu64,
+               ",\"fused_windows\":%" PRIu64 ",\"fused_aborts\":%" PRIu64
+               ",\"validations\":%" PRIu64,
                c.commits, c.aborts, c.serial_commits, c.reservation_losses,
-               c.fused_windows, c.fused_aborts);
+               c.fused_windows, c.fused_aborts, c.validations);
   std::fprintf(out, ",\"by_cause\":{");
   for (std::size_t i = 0; i < tm::kAbortCauseCount; ++i)
     std::fprintf(out, "%s\"%s\":%" PRIu64, i == 0 ? "" : ",",

@@ -58,7 +58,8 @@ enum class Mutation : unsigned {
   kNone = 0,
   kSkipQuiescenceWait,   // Quiescence::wait_until returns immediately
   kDropRevoke,           // RR Revoke keeps the ownership stamp intact
-  kSkipReadValidation,   // TML readers skip the post-read clock check
+  kSkipReadValidation,   // TML/NOrec reads skip the post-load clock
+                         // check; TL2/TLEager reads skip the orec re-check
   kDropMigrationReserve, // kv migration parks its anchor without reserving
   kFusionNeverFallback,  // fused traversal keeps speculating after an abort
   kDropAborterId,        // revokers/aborters omit their identity stamp

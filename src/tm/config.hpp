@@ -94,6 +94,11 @@ struct StatCounters {
   /// operation mix actually pays — the denominator the serving tier's
   /// batch fusion drives down (quiescence-waits/op, docs/SERVING.md).
   std::uint64_t quiescence_waits = 0;
+  /// NOrec read-set revalidations (Norec::Tx::validate entries): a read
+  /// that found the clock moved since its snapshot, or a writer commit
+  /// whose seqlock acquire lost to another writer. The read fast path
+  /// never validates, so this is the slow path's rate.
+  std::uint64_t validations = 0;
   std::uint64_t by_cause[kAbortCauseCount] = {};
 
   /// Causal attribution ("who aborted whom"): one bucket per possible
@@ -181,6 +186,7 @@ struct StatCounters {
     fused_windows += other.fused_windows;
     fused_aborts += other.fused_aborts;
     quiescence_waits += other.quiescence_waits;
+    validations += other.validations;
     for (std::size_t i = 0; i < kAbortCauseCount; ++i)
       by_cause[i] += other.by_cause[i];
     for (std::size_t i = 0; i < kAttrSlots; ++i) {

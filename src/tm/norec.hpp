@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <vector>
 
 #include "tm/abort.hpp"
 #include "tm/atomically.hpp"
@@ -19,6 +18,13 @@ namespace hohtm::tm {
 ///  - Readers log (address, value) pairs; whenever the global clock moves
 ///    they re-check every logged value and either adopt the new snapshot
 ///    or abort. This gives opacity without per-location metadata.
+///  - The read barrier pays only for what the transaction has done, as in
+///    the reference implementation's read-only / read-write barrier
+///    split. Until its first write a read skips the write-set probe: an
+///    empty redo log cannot buffer the address. The fast path is a typed
+///    load, an acquire fence, one seqlock load compared with the
+///    snapshot, and an inline append to the ReadLog; when the clock has
+///    moved, revalidation and the reload run out of line.
 ///  - Writers buffer updates in a redo log; commit acquires the sequence
 ///    lock, re-validates, writes back, and releases.
 ///  - Precise reclamation: deferred frees run after the unlock plus a
@@ -38,20 +44,21 @@ class Norec {
    public:
     template <TxWord T>
     T read(const T& loc) {
-      if (serial_) return atomic_load(loc);
-      if (const ErasedWord* buffered = writes_.find(&loc))
-        return restore_word<T>(*buffered);
-      ErasedWord seen = erased_load(&loc, sizeof(T));
-      for (;;) {
-        std::atomic_thread_fence(std::memory_order_acquire);
-        if (seqlock().load_acquire() == snapshot_ ||
-            sched::mutate(sched::Mutation::kSkipReadValidation))
-          break;
-        snapshot_ = validate();
-        seen = erased_load(&loc, sizeof(T));
+      if (serial_) [[unlikely]]
+        return atomic_load(loc);
+      // Read-after-write: only a transaction that has written can have
+      // buffered this address, so a read-only one skips the probe.
+      if (!writes_.empty()) [[unlikely]] {
+        if (const ErasedWord* buffered = writes_.find(&loc))
+          return restore_word<T>(*buffered);
       }
-      reads_.push_back(ReadEntry{&loc, seen});
-      return restore_word<T>(seen);
+      T val = atomic_load(loc);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (seqlock().load_acquire() != snapshot_ &&
+          !sched::mutate(sched::Mutation::kSkipReadValidation)) [[unlikely]]
+        val = revalidate_and_reload(loc);
+      reads_.push(ReadEntry{&loc, erase_word(val).bits, sizeof(T)});
+      return val;
     }
 
     template <TxWord T>
@@ -128,19 +135,43 @@ class Norec {
     /// the last attempt's (begin clears it). Diagnostics and tests only.
     std::size_t logged_reads() const noexcept { return reads_.size(); }
 
+    /// Write-set lookups this thread's descriptor has made, over its
+    /// lifetime. Diagnostics and tests only: a transaction that has not
+    /// written makes none.
+    std::uint64_t write_set_probes() const noexcept { return writes_.probes(); }
+
    private:
+    /// One logged read: the value's bits at the width it was read with.
+    /// Trivial, so ReadLog growth never touches unused capacity.
     struct ReadEntry {
       const void* addr;
-      ErasedWord word;
+      std::uint64_t bits;
+      std::uint8_t width;
     };
+
+    /// The read barrier's slow path: the clock moved since the snapshot,
+    /// so revalidate, adopt the new snapshot, and reload until the clock
+    /// holds still across the load (or the transaction aborts).
+    template <TxWord T>
+    [[gnu::noinline]] T revalidate_and_reload(const T& loc) {
+      for (;;) {
+        snapshot_ = validate();
+        const T val = atomic_load(loc);
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (seqlock().load_acquire() == snapshot_ ||
+            sched::mutate(sched::Mutation::kSkipReadValidation))
+          return val;
+      }
+    }
 
     /// Wait for a stable even clock, re-check every logged read, and
     /// return the snapshot the read set is now known to be valid at.
     std::uint64_t validate() {
+      Stats::mine().validations += 1;
       for (;;) {
         const std::uint64_t even = seqlock().wait_even();
         for (const ReadEntry& r : reads_) {
-          if (erased_load(r.addr, r.word.width).bits != r.word.bits)
+          if (erased_load(r.addr, r.width).bits != r.bits)
             // A committed writer changed a value under us; the last lock
             // acquirer is that writer (best-effort; see SeqLock::owner).
             abort_tx(AbortCause::kReadValidation, seqlock().owner());
@@ -166,7 +197,7 @@ class Norec {
 
     std::uint64_t snapshot_ = 0;
     bool serial_ = false;
-    std::vector<ReadEntry> reads_;
+    ReadLog<ReadEntry> reads_;
     WriteSet writes_;
     UndoLog undo_;
   };

@@ -39,9 +39,13 @@ class Tl2 {
    public:
     template <TxWord T>
     T read(const T& loc) {
-      if (serial_) return atomic_load(loc);
-      if (const ErasedWord* buffered = writes_.find(&loc))
-        return restore_word<T>(*buffered);
+      if (serial_) [[unlikely]]
+        return atomic_load(loc);
+      // As in Norec::Tx::read: an empty redo log cannot buffer `loc`.
+      if (!writes_.empty()) [[unlikely]] {
+        if (const ErasedWord* buffered = writes_.find(&loc))
+          return restore_word<T>(*buffered);
+      }
       std::atomic<std::uint64_t>& orec = orecs().orec_for(&loc);
       sched::point(sched::Op::kOrecRead, &orec);
       const std::uint64_t before = orec.load(std::memory_order_acquire);
@@ -67,7 +71,7 @@ class Tl2 {
       // committer's release store on this orec (mirrored for TSan; the
       // data load orders against the re-check via a fence TSan ignores).
       tsan::acquire(&orec);
-      reads_.push_back(&orec);
+      reads_.push(&orec);
       return val;
     }
 
@@ -231,7 +235,7 @@ class Tl2 {
 
     std::uint64_t rv_ = 0;
     bool serial_ = false;
-    std::vector<std::atomic<std::uint64_t>*> reads_;
+    ReadLog<std::atomic<std::uint64_t>*> reads_;
     WriteSet writes_;
     std::vector<LockedOrec> locked_;
     UndoLog undo_;

@@ -70,7 +70,7 @@ class TlEager {
         }
       }
       tsan::acquire(&orec);  // see Tl2::Tx::read
-      reads_.push_back(&orec);
+      reads_.push(&orec);
       return val;
     }
 
@@ -214,7 +214,7 @@ class TlEager {
 
     std::uint64_t rv_ = 0;
     bool serial_ = false;
-    std::vector<std::atomic<std::uint64_t>*> reads_;
+    ReadLog<std::atomic<std::uint64_t>*> reads_;
     UndoLog undo_;
     std::vector<LockedOrec> locked_;
   };

@@ -2,6 +2,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sched/schedpoint.hpp"
@@ -10,14 +13,63 @@
 
 namespace hohtm::tm {
 
+/// Append-only read log shared by the validating backends: NOrec logs
+/// (address, value) pairs, TL2 and TLEager log the orecs they read.
+///
+/// Every transactional read appends one entry, so the append is inline
+/// (a bounds check and a store) and growth is out of line. Growth
+/// allocates without initializing: capacity the log has not used yet is
+/// never written, so a thread's first long transaction does not fault in
+/// pages it will not fill. The transaction object is reused across
+/// retries, so `clear()` keeps the capacity and only resets the fill.
+template <class Entry>
+class ReadLog {
+  static_assert(std::is_trivially_default_constructible_v<Entry> &&
+                    std::is_trivially_copyable_v<Entry>,
+                "growth copies entries bytewise into uninitialized storage");
+
+ public:
+  void push(const Entry& e) {
+    if (size_ == capacity_) [[unlikely]]
+      grow();
+    data_[size_++] = e;
+  }
+
+  void clear() noexcept { size_ = 0; }
+  std::size_t size() const noexcept { return size_; }
+  std::size_t capacity() const noexcept { return capacity_; }
+
+  const Entry* begin() const noexcept { return data_.get(); }
+  const Entry* end() const noexcept { return data_.get() + size_; }
+
+ private:
+  static constexpr std::size_t kInitialCapacity = 64;
+
+  [[gnu::noinline]] void grow() {
+    const std::size_t capacity =
+        capacity_ == 0 ? kInitialCapacity : capacity_ * 2;
+    auto bigger = std::make_unique_for_overwrite<Entry[]>(capacity);
+    if (size_ != 0)
+      std::memcpy(bigger.get(), data_.get(), size_ * sizeof(Entry));
+    data_ = std::move(bigger);
+    capacity_ = capacity;
+  }
+
+  std::unique_ptr<Entry[]> data_;
+  std::size_t size_ = 0;
+  std::size_t capacity_ = 0;
+};
+
 /// Redo-log write set for lazy (write-back) backends: NOrec and TL2.
 ///
-/// Lookup must be fast because every transactional read probes it
-/// (read-after-write). We keep an append-only log (preserving program
-/// order for write-back) plus an open-addressed index from address to log
-/// position. Capacities are powers of two; the index is rebuilt on growth.
-/// The transaction object is reused across retries, so `clear()` keeps the
-/// capacity and only resets the fill.
+/// Once a transaction has written, every transactional read probes it
+/// (read-after-write); while it is empty the backends skip the probe,
+/// since an empty redo log cannot buffer the address. We keep an
+/// append-only log (preserving program order for write-back) plus an
+/// open-addressed index from address to log position. Capacities are
+/// powers of two; the index is rebuilt on growth. The transaction object
+/// is reused across retries, so `clear()` keeps the capacity and only
+/// resets the fill.
 class WriteSet {
  public:
   struct Entry {
@@ -46,6 +98,7 @@ class WriteSet {
   /// Return the buffered value for `addr`, or nullptr if absent.
   const ErasedWord* find(const void* addr) const noexcept {
     const auto key = reinterpret_cast<std::uintptr_t>(addr);
+    ++probes_;
     const std::size_t pos = probe(key);
     if (index_[pos] == kEmpty) return nullptr;
     return &log_[index_[pos]].word;
@@ -59,18 +112,37 @@ class WriteSet {
 
   const std::vector<Entry>& entries() const noexcept { return log_; }
 
+  /// Calls to find() over this set's lifetime (clear() keeps the count).
+  /// Diagnostics and tests only: the read-only-window gate checks that a
+  /// transaction that has not written never probes.
+  std::uint64_t probes() const noexcept { return probes_; }
+
+  /// Empty the set in O(size), not O(index capacity): the index never
+  /// shrinks, so refilling it whole would make one large writer tax every
+  /// later begin() of its thread. Each entry's slot lies on the probe
+  /// path from its home slot; it is the one that holds its log position.
   void clear() noexcept {
+    if (log_.empty()) return;
+    const std::size_t mask = index_.size() - 1;
+    for (std::uint32_t i = 0; i < log_.size(); ++i) {
+      std::size_t pos = home(log_[i].addr);
+      while (index_[pos] != i) pos = (pos + 1) & mask;
+      index_[pos] = kEmpty;
+    }
     log_.clear();
-    std::fill(index_.begin(), index_.end(), kEmpty);
   }
 
  private:
   static constexpr std::uint32_t kEmpty = ~0u;
 
+  /// Fibonacci hashing on the word address; linear probing from here.
+  std::size_t home(std::uintptr_t key) const noexcept {
+    return (key * 0x9E3779B97F4A7C15ULL) >> shift_ & (index_.size() - 1);
+  }
+
   std::size_t probe(std::uintptr_t key) const noexcept {
-    // Fibonacci hashing on the word address; linear probing.
-    std::size_t mask = index_.size() - 1;
-    std::size_t pos = (key * 0x9E3779B97F4A7C15ULL) >> shift_ & mask;
+    const std::size_t mask = index_.size() - 1;
+    std::size_t pos = home(key);
     while (index_[pos] != kEmpty && log_[index_[pos]].addr != key)
       pos = (pos + 1) & mask;
     return pos;
@@ -79,9 +151,9 @@ class WriteSet {
   void rebuild_index(std::size_t capacity) {
     index_.assign(capacity, kEmpty);
     shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(capacity));
+    const std::size_t mask = capacity - 1;
     for (std::size_t i = 0; i < log_.size(); ++i) {
-      std::size_t mask = capacity - 1;
-      std::size_t pos = (log_[i].addr * 0x9E3779B97F4A7C15ULL) >> shift_ & mask;
+      std::size_t pos = home(log_[i].addr);
       while (index_[pos] != kEmpty) pos = (pos + 1) & mask;
       index_[pos] = static_cast<std::uint32_t>(i);
     }
@@ -90,6 +162,7 @@ class WriteSet {
   std::vector<Entry> log_;
   std::vector<std::uint32_t> index_;
   unsigned shift_ = 60;
+  mutable std::uint64_t probes_ = 0;
 };
 
 /// Undo log for eager (write-through) execution: TML writers and the

@@ -6,7 +6,9 @@
 // it must still commit exactly once per window: the saving is in writer
 // commits, not in commits. Plus the read-set gate: node keys are
 // immutable after publication and read plainly (docs/ALGORITHMS.md), so
-// a window logs one word per node it walks, not two.
+// a window logs one word per node it walks, not two. And the write-set
+// gate: a transaction that has not written skips the read-after-write
+// probe, while one that has still reads its own buffered writes.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -82,6 +84,105 @@ TEST(ReadSetGate, NorecWindowLogsOneWordPerNode) {
     EXPECT_GE(words, static_cast<std::size_t>(kW));  // each `next` is logged
     EXPECT_LE(words, kW + kSlack) << "a node's key entered the read set";
   }
+}
+
+TEST(ReadSetGate, ReadOnlyWindowMakesNoWriteSetProbes) {
+  constexpr int kW = 16;
+  SllHoh<tm::Norec, rr::RrV<tm::Norec>> list(kW, /*scatter=*/false);
+  for (long i = 0; i < 4 * kW; ++i) ASSERT_TRUE(list.insert(i));
+
+  std::size_t boundaries = 0;
+  list.set_handover_hook_for_testing([&] { ++boundaries; });
+  const std::uint64_t before = tm::Norec::tls_tx().write_set_probes();
+  EXPECT_TRUE(list.contains(4 * kW - 1));  // last node
+  EXPECT_FALSE(list.contains(4 * kW));     // past the tail
+  ASSERT_GE(boundaries, 4u) << "the lookups must cross window boundaries";
+  EXPECT_EQ(tm::Norec::tls_tx().write_set_probes(), before)
+      << "a read-only window probed the write set";
+
+  // Not vacuous: once a transaction has written, each read probes.
+  long cell = 0;
+  tm::Norec::atomically([&](tm::Norec::Tx& tx) {
+    tx.write(cell, 1L);
+    return tx.read(cell) + tx.read(cell);
+  });
+  EXPECT_EQ(tm::Norec::tls_tx().write_set_probes(), before + 2);
+}
+
+template <class TM, class W>
+struct RawCase {
+  using Tm = TM;
+  using Word = W;
+};
+
+template <class Case>
+class ReadAfterWriteTest : public ::testing::Test {};
+
+using RawCases = ::testing::Types<
+    RawCase<tm::Norec, std::uint8_t>, RawCase<tm::Norec, std::uint16_t>,
+    RawCase<tm::Norec, std::uint32_t>, RawCase<tm::Norec, std::uint64_t>,
+    RawCase<tm::Tl2, std::uint8_t>, RawCase<tm::Tl2, std::uint16_t>,
+    RawCase<tm::Tl2, std::uint32_t>, RawCase<tm::Tl2, std::uint64_t>>;
+TYPED_TEST_SUITE(ReadAfterWriteTest, RawCases);
+
+/// A value that fills every byte of the word, so a read at the wrong
+/// width or a truncated buffer shows.
+template <class W>
+W pattern(std::uint64_t seed) {
+  return static_cast<W>(0x8182838485868788ULL ^
+                        (seed * 0x0101010101010101ULL));
+}
+
+TYPED_TEST(ReadAfterWriteTest, FirstReadAfterFirstWrite) {
+  using TM = typename TypeParam::Tm;
+  using W = typename TypeParam::Word;
+  W a = pattern<W>(1);
+  W b = pattern<W>(2);
+  W seen_before = 0, seen_after = 0, other = 0;
+  TM::atomically([&](typename TM::Tx& tx) {
+    seen_before = tx.read(a);  // empty write set: read-only path
+    tx.write(a, pattern<W>(3));
+    seen_after = tx.read(a);  // the first read after the first write
+    other = tx.read(b);       // a miss falls through to memory
+  });
+  EXPECT_EQ(seen_before, pattern<W>(1));
+  EXPECT_EQ(seen_after, pattern<W>(3));
+  EXPECT_EQ(other, pattern<W>(2));
+  EXPECT_EQ(a, pattern<W>(3));
+  EXPECT_EQ(b, pattern<W>(2));
+}
+
+TYPED_TEST(ReadAfterWriteTest, ReadAfterWriteSetGrowsPastItsIndex) {
+  using TM = typename TypeParam::Tm;
+  using W = typename TypeParam::Word;
+  constexpr int kWords = 64;  // the index starts at 16 slots
+  std::vector<W> words(kWords + 1, W{0});
+  std::vector<W> seen(kWords + 1, W{0});
+  TM::atomically([&](typename TM::Tx& tx) {
+    for (int i = 0; i < kWords; ++i) tx.write(words[i], pattern<W>(i + 1));
+    for (int i = 0; i <= kWords; ++i) seen[i] = tx.read(words[i]);
+  });
+  for (int i = 0; i < kWords; ++i) {
+    EXPECT_EQ(seen[i], pattern<W>(i + 1)) << i;
+    EXPECT_EQ(words[i], pattern<W>(i + 1)) << i;
+  }
+  EXPECT_EQ(seen[kWords], W{0}) << "an unwritten word read a buffered value";
+}
+
+TYPED_TEST(ReadAfterWriteTest, ReadOfOverwrittenWordSeesTheLastWrite) {
+  using TM = typename TypeParam::Tm;
+  using W = typename TypeParam::Word;
+  W x = pattern<W>(5);
+  W first = 0, last = 0;
+  TM::atomically([&](typename TM::Tx& tx) {
+    tx.write(x, pattern<W>(6));
+    first = tx.read(x);
+    tx.write(x, pattern<W>(7));
+    last = tx.read(x);
+  });
+  EXPECT_EQ(first, pattern<W>(6));
+  EXPECT_EQ(last, pattern<W>(7));
+  EXPECT_EQ(x, pattern<W>(7));
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
+#include "harness/metrics.hpp"
 #include "tm/tm.hpp"
 
 namespace hohtm::tm {
@@ -175,6 +177,45 @@ TEST(AbortCauseGLock, UserRetryIsTheOnlyAbort) {
   EXPECT_EQ(Stats::mine().aborts - before.aborts, 1u);
   EXPECT_EQ(delta(before, AbortCause::kReadValidation), 0u);
   EXPECT_EQ(delta(before, AbortCause::kLockConflict), 0u);
+}
+
+// NOrec's read barrier validates only when the clock has moved since the
+// snapshot: a concurrent commit to an unrelated word between two reads
+// costs the second read exactly one revalidation, which passes (no
+// abort), and a read-only transaction over a still clock costs none. The
+// count reaches the metrics snapshot's tm section.
+TEST(NorecValidation, OnlyAMovedClockRevalidates) {
+  long x = 1, y = 2, unrelated = 0;
+  std::atomic<int> phase{0};
+  std::thread writer([&] {
+    await_phase(phase, 1);
+    Norec::atomically([&](Norec::Tx& tx) { tx.write(unrelated, 1L); });
+    advance_phase(phase, 2);
+  });
+
+  const StatCounters before = snapshot();
+  long sum = Norec::atomically([&](Norec::Tx& tx) {
+    const long first = tx.read(x);
+    advance_phase(phase, 1);
+    await_phase(phase, 2);
+    return first + tx.read(y);  // the clock moved: slow path
+  });
+  writer.join();
+  EXPECT_EQ(sum, 3);
+  EXPECT_EQ(Stats::mine().validations - before.validations, 1u);
+  EXPECT_EQ(Stats::mine().aborts - before.aborts, 0u);
+
+  const StatCounters quiet = snapshot();
+  sum = Norec::atomically(
+      [&](Norec::Tx& tx) { return tx.read(x) + tx.read(y); });
+  EXPECT_EQ(sum, 3);
+  EXPECT_EQ(Stats::mine().validations - quiet.validations, 0u);
+
+  const std::string doc = harness::metrics_snapshot_json();
+  EXPECT_NE(doc.find("\"validations\":" +
+                     std::to_string(Stats::total().validations)),
+            std::string::npos)
+      << doc;
 }
 
 // The aggregate view sums per-thread slots, including exited threads'.

@@ -73,6 +73,104 @@ TEST(WriteSet, ClearKeepsItUsable) {
   EXPECT_EQ(restore_word<int>(*ws.find(&x)), 9);
 }
 
+TEST(WriteSet, ClearAfterGrowthBehavesLikeAFreshSet) {
+  // 100 entries grow the index from 16 to 256 slots; clear() then resets
+  // only the slots those entries occupy. The cells are scattered over a
+  // pool (a stride coprime to its size) so that home slots collide and
+  // clear() has to walk probe chains, not just home slots.
+  constexpr int kPool = 4099;
+  constexpr int kOld = 100;
+  constexpr int kNew = 12;
+  static std::uint64_t pool[kPool];
+  auto old_cell = [](int i) { return &pool[(i * 997) % kPool]; };
+  auto new_cell = [](int i) { return &pool[(kOld + i) * 997 % kPool]; };
+  WriteSet ws;
+  for (int i = 0; i < kOld; ++i)
+    ws.put(old_cell(i), erase_word<std::uint64_t>(i + 1));
+  ws.clear();
+  EXPECT_TRUE(ws.empty());
+  EXPECT_EQ(ws.size(), 0u);
+  for (int i = 0; i < kOld; ++i) EXPECT_EQ(ws.find(old_cell(i)), nullptr) << i;
+
+  // New puts (fresh addresses plus an old one) find exactly what was put,
+  // overwrite in place, and write back only the new log.
+  for (int i = 0; i < kNew; ++i)
+    ws.put(new_cell(i), erase_word<std::uint64_t>(1000 + i));
+  ws.put(old_cell(7), erase_word<std::uint64_t>(77));
+  ws.put(old_cell(7), erase_word<std::uint64_t>(78));
+  EXPECT_EQ(ws.size(), static_cast<std::size_t>(kNew + 1));
+  for (int i = 0; i < kNew; ++i)
+    EXPECT_EQ(restore_word<std::uint64_t>(*ws.find(new_cell(i))),
+              static_cast<std::uint64_t>(1000 + i));
+  EXPECT_EQ(restore_word<std::uint64_t>(*ws.find(old_cell(7))), 78u);
+  EXPECT_EQ(ws.find(old_cell(8)), nullptr);
+  ws.write_back();
+  EXPECT_EQ(*old_cell(7), 78u);
+  EXPECT_EQ(*old_cell(8), 0u);
+  EXPECT_EQ(*new_cell(kNew - 1), static_cast<std::uint64_t>(1000 + kNew - 1));
+
+  // Many fill-and-clear rounds at the index's highest load leave no slot
+  // behind: every round starts from a set where nothing is found.
+  for (int round = 0; round < 50; ++round) {
+    ws.clear();
+    for (int i = 0; i < 128; ++i)
+      EXPECT_EQ(ws.find(&pool[(round * 131 + i * 997) % kPool]), nullptr)
+          << "round " << round << " cell " << i;
+    for (int i = 0; i < 128; ++i)
+      ws.put(&pool[(round * 131 + i * 997) % kPool],
+             erase_word<std::uint64_t>(i));
+    ASSERT_EQ(ws.size(), 128u);
+  }
+}
+
+TEST(WriteSet, ProbesCountFindsOnly) {
+  WriteSet ws;
+  int x = 0;
+  ws.put(&x, erase_word(1));
+  EXPECT_EQ(ws.probes(), 0u);
+  ws.find(&x);
+  ws.find(&ws);
+  EXPECT_EQ(ws.probes(), 2u);
+  ws.clear();
+  EXPECT_EQ(ws.probes(), 2u);  // lifetime count: clear() keeps it
+}
+
+struct Logged {
+  const void* addr;
+  std::uint64_t bits;
+};
+
+TEST(ReadLog, AppendsInOrderAcrossGrowth) {
+  ReadLog<Logged> log;
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.capacity(), 0u);  // no storage until the first append
+  constexpr std::uint64_t kCount = 1000;
+  for (std::uint64_t i = 0; i < kCount; ++i) log.push(Logged{&log, i * 3});
+  ASSERT_EQ(log.size(), kCount);
+  EXPECT_GE(log.capacity(), kCount);
+  std::uint64_t i = 0;
+  for (const Logged& e : log) {
+    EXPECT_EQ(e.addr, &log);
+    EXPECT_EQ(e.bits, i * 3) << i;
+    ++i;
+  }
+  EXPECT_EQ(i, kCount);
+}
+
+TEST(ReadLog, ClearKeepsCapacity) {
+  ReadLog<std::uintptr_t> log;
+  for (std::uintptr_t i = 0; i < 300; ++i) log.push(i);
+  const std::size_t capacity = log.capacity();
+  log.clear();
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.begin(), log.end());
+  EXPECT_EQ(log.capacity(), capacity);
+  for (std::uintptr_t i = 0; i < 300; ++i) log.push(i + 7);
+  EXPECT_EQ(log.capacity(), capacity);  // refilling to the old size: no growth
+  EXPECT_EQ(*log.begin(), 7u);
+  EXPECT_EQ(*(log.end() - 1), 306u);
+}
+
 TEST(PrivateLog, OverwriteFindAndWriteBack) {
   PrivateLog log;
   std::uint8_t a = 0;

@@ -32,6 +32,7 @@ def snapshot(res_lost=4, attributed=3, unknown=1):
                 "commits": 900,
                 "aborts": 40,
                 "res_lost": res_lost,
+                "validations": 45,
                 "attribution": {
                     "losses_attributed": attributed,
                     "losses_unknown": unknown,
@@ -177,6 +178,26 @@ class RenderCliTest(unittest.TestCase):
                       "91234 polls", proc.stdout)
         self.assertIn("wire: 292988 bytes in, 187515 bytes out",
                       proc.stdout)
+
+    def test_validations_render_per_commit(self):
+        proc = self.run_tool(snapshot())
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("## read-set validation", proc.stdout)
+        self.assertIn("validations: 45 (0.050 per commit)", proc.stdout)
+
+    def test_validations_without_commits_do_not_divide_by_zero(self):
+        doc = snapshot()
+        doc["sections"]["tm"]["commits"] = 0
+        proc = self.run_tool(doc)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn("validations: 45 (45.000 per commit)", proc.stdout)
+
+    def test_snapshot_without_validations_renders_no_section(self):
+        doc = snapshot()
+        del doc["sections"]["tm"]["validations"]
+        proc = self.run_tool(doc)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertNotIn("read-set validation", proc.stdout)
 
     def test_netless_snapshot_renders_no_serving_tier(self):
         proc = self.run_tool(snapshot())

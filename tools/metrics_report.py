@@ -9,9 +9,10 @@ the `$HOHTM_METRICS_FILE` atexit dump that every bench and serving
 binary honours, or the body of kv::Service::stats_snapshot() (whose
 wrapper object {"service":...,"metrics":{...}} is accepted too).
 
-Renders the always-on counters and gauges, the causal abort attribution
-("who aborted whom": per-aborter-slot and per-site loss buckets), the kv
-contention heatmap, and the reclamation-stall watchdog state.
+Renders the always-on counters and gauges, NOrec read-set revalidations
+per commit, the causal abort attribution ("who aborted whom":
+per-aborter-slot and per-site loss buckets), the kv contention heatmap,
+and the reclamation-stall watchdog state.
 
 With --check, additionally verifies the attribution invariants the
 metrics plane guarantees by construction and exits nonzero when any is
@@ -44,6 +45,19 @@ def emit_scalars(title, table):
     width = max(len(k) for k in table)
     for name in sorted(table):
         print(f"  {name.ljust(width)}  {table[name]}")
+
+
+def emit_validations(tm):
+    """NOrec read-set revalidations per commit: how often a read found the
+    seqlock moved since its snapshot (or a writer lost the lock race) and
+    left the read barrier's fast path. Other backends never validate."""
+    if "validations" not in tm:
+        return
+    validations = tm["validations"]
+    commits = tm.get("commits", 0)
+    print("\n## read-set validation")
+    print(f"  validations: {validations} "
+          f"({validations / max(commits, 1):.3f} per commit)")
 
 
 def emit_attribution(tm, top_n):
@@ -164,6 +178,7 @@ def main():
         tm = sections["tm"]
         emit_scalars("tm", {k: v for k, v in tm.items()
                             if isinstance(v, int)})
+        emit_validations(tm)
         emit_attribution(tm, args.top)
     emit_net(doc.get("counters", {}))
     emit_heatmap(sections.get("kv_heatmap", []))
