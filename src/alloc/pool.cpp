@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "util/cacheline.hpp"
-#include "util/thread_registry.hpp"
+#include "util/per_thread.hpp"
 #include "util/trace.hpp"
 
 namespace hohtm::alloc {
@@ -75,9 +75,10 @@ Shared& shared() {
   return s;
 }
 
-util::CachePadded<ThreadCache>& cache_of(std::size_t slot) {
-  static util::CachePadded<ThreadCache> caches[util::kMaxThreads];
-  return caches[slot];
+// `slot` is the caller's or a block owner's: registered, so live.
+ThreadCache& cache_of(std::size_t slot) {
+  static util::PerThread<ThreadCache> caches;
+  return caches.live()[slot].value;
 }
 
 std::atomic<bool> g_use_pool{false};
@@ -89,7 +90,7 @@ Header* header_of(void* user) noexcept {
 void* pool_allocate(std::size_t bytes) {
   const std::size_t slot = util::ThreadRegistry::slot();
   const std::size_t cls = class_for(bytes);
-  PerClass& pc = cache_of(slot)->classes[cls];
+  PerClass& pc = cache_of(slot).classes[cls];
   Shared& sh = shared();
 
   // 1. Local free list.
@@ -135,7 +136,7 @@ void* pool_allocate(std::size_t bytes) {
 
 void pool_deallocate(Header* h) noexcept {
   const std::size_t slot = util::ThreadRegistry::slot();
-  PerClass& owner_pc = cache_of(h->owner_slot)->classes[h->size_class];
+  PerClass& owner_pc = cache_of(h->owner_slot).classes[h->size_class];
   auto* block = reinterpret_cast<FreeBlock*>(h);
   if (h->owner_slot == slot) {
     block->next = owner_pc.local;

@@ -2,12 +2,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "alloc/object.hpp"
 #include "core/rr_common.hpp"
 #include "reclaim/gauge.hpp"
-#include "util/cacheline.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::rr {
 
@@ -111,21 +112,27 @@ class MultiRrV {
 
  private:
   struct Entry {
+    explicit Entry(tm::OwnerKey key) : ref(key), version(key) {}
     tm::PrivateCell<Ref> ref;
     tm::PrivateCell<std::uint64_t> version;
   };
   struct Cell {
+    explicit Cell(tm::OwnerKey key)
+        : Cell(key, std::make_index_sequence<kCapacity>{}) {}
+    template <std::size_t... I>
+    Cell(tm::OwnerKey key, std::index_sequence<I...>)
+        : entries{Entry((void(I), key))...} {}
     Entry entries[kCapacity];
   };
 
   std::size_t slot_of(Ref ref) const noexcept {
     return hash_ref(ref, log2_slots_);
   }
-  Cell& mine() noexcept { return cells_[util::ThreadRegistry::slot()].value; }
+  Cell& mine() noexcept { return cells_.mine(); }
 
   std::size_t log2_slots_;
   std::vector<std::uint64_t> versions_;
-  util::CachePadded<Cell> cells_[util::kMaxThreads];
+  tm::PrivateSlots<Cell> cells_;
   SlotGenerations generations_;
 };
 
@@ -157,7 +164,7 @@ class MultiRrFa {
 
   void register_thread(Tx& tx) {
     if (generations_.is_registered(tx)) return;
-    auto& mine = mine_[util::ThreadRegistry::slot()].value;
+    auto& mine = nodes_.mine();
     ThreadNode* node = tx.read(mine);
     if (node == nullptr) {
       node = tx.template alloc<ThreadNode>();
@@ -225,11 +232,11 @@ class MultiRrFa {
   };
 
   ThreadNode* mine(Tx& tx) {
-    return tx.read(mine_[util::ThreadRegistry::slot()].value);
+    return tx.read(nodes_.mine());
   }
 
   ThreadNode* head_ = nullptr;
-  util::CachePadded<ThreadNode*> mine_[util::kMaxThreads];
+  util::PerThread<ThreadNode*> nodes_;
   SlotGenerations generations_;
 };
 

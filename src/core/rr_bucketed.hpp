@@ -6,7 +6,7 @@
 #include "alloc/object.hpp"
 #include "core/rr_common.hpp"
 #include "reclaim/gauge.hpp"
-#include "util/cacheline.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::rr {
 
@@ -52,7 +52,7 @@ class RrBucketed {
   RrBucketed& operator=(const RrBucketed&) = delete;
 
   ~RrBucketed() {
-    for (auto& cell : mine_) {
+    for (auto& cell : nodes_.live()) {
       if (cell.value != nullptr) {
         alloc::destroy(cell.value);
         reclaim::Gauge::on_free();
@@ -62,7 +62,7 @@ class RrBucketed {
 
   void register_thread(Tx& tx) {
     if (generations_.is_registered(tx)) return;
-    auto& mine = mine_[util::ThreadRegistry::slot()].value;
+    auto& mine = nodes_.mine();
     ThreadNode* node = tx.read(mine);
     if (node == nullptr) {
       node = tx.template alloc<ThreadNode>();
@@ -142,7 +142,7 @@ class RrBucketed {
   /// thread is mid-transaction, exactly as the destructor does.
   std::size_t gauge_owned() const noexcept {
     std::size_t count = 0;
-    for (const auto& cell : mine_)
+    for (const auto& cell : nodes_.live())
       if (cell.value != nullptr) ++count;
     return count;
   }
@@ -178,7 +178,7 @@ class RrBucketed {
   }
 
   ThreadNode* mine(Tx& tx) {
-    return tx.read(mine_[util::ThreadRegistry::slot()].value);
+    return tx.read(nodes_.mine());
   }
 
   void link_after_sentinel(Tx& tx, ThreadNode* node, std::ptrdiff_t index) {
@@ -202,7 +202,7 @@ class RrBucketed {
   std::size_t log2_buckets_;
   bool delayed_unlink_;
   std::vector<Sentinel> buckets_;
-  util::CachePadded<ThreadNode*> mine_[util::kMaxThreads];
+  util::PerThread<ThreadNode*> nodes_;
   SlotGenerations generations_;
 };
 

@@ -206,20 +206,16 @@ class SlotGenerations {
  public:
   template <class Tx>
   bool is_registered(Tx& tx) {
-    return tx.read_private(mine()) == util::ThreadRegistry::generation();
+    return tx.read_private(gen_.mine()) == util::ThreadRegistry::generation();
   }
 
   template <class Tx>
   void mark_registered(Tx& tx) {
-    tx.write_private(mine(), util::ThreadRegistry::generation());
+    tx.write_private(gen_.mine(), util::ThreadRegistry::generation());
   }
 
  private:
-  tm::PrivateCell<std::uint64_t>& mine() noexcept {
-    return gen_[util::ThreadRegistry::slot()].value;
-  }
-
-  util::CachePadded<tm::PrivateCell<std::uint64_t>> gen_[util::kMaxThreads];
+  tm::PrivateSlots<tm::PrivateCell<std::uint64_t>> gen_;
 };
 
 }  // namespace hohtm::rr

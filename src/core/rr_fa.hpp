@@ -3,7 +3,7 @@
 #include "alloc/object.hpp"
 #include "core/rr_common.hpp"
 #include "reclaim/gauge.hpp"
-#include "util/cacheline.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::rr {
 
@@ -47,7 +47,7 @@ class RrFa {
   /// exited thread.
   void register_thread(Tx& tx) {
     if (generations_.is_registered(tx)) return;
-    auto& mine = mine_[util::ThreadRegistry::slot()].value;
+    auto& mine = nodes_.mine();
     ThreadNode* node = tx.read(mine);
     if (node == nullptr) {
       node = tx.template alloc<ThreadNode>();
@@ -97,7 +97,7 @@ class RrFa {
   /// thread is mid-transaction, exactly as the destructor does.
   std::size_t gauge_owned() const noexcept {
     std::size_t count = 0;
-    for (const auto& cell : mine_)
+    for (const auto& cell : nodes_.live())
       if (cell.value != nullptr) ++count;
     return count;
   }
@@ -112,11 +112,11 @@ class RrFa {
   };
 
   ThreadNode* mine(Tx& tx) {
-    return tx.read(mine_[util::ThreadRegistry::slot()].value);
+    return tx.read(nodes_.mine());
   }
 
   ThreadNode* head_ = nullptr;
-  util::CachePadded<ThreadNode*> mine_[util::kMaxThreads];
+  util::PerThread<ThreadNode*> nodes_;
   SlotGenerations generations_;
 };
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/rr_common.hpp"
-#include "util/cacheline.hpp"
 
 namespace hohtm::rr {
 
@@ -84,13 +83,11 @@ class RrSo {
     return static_cast<std::int64_t>(util::ThreadRegistry::slot());
   }
 
-  tm::PrivateCell<Ref>& my_ref() noexcept {
-    return refs_[util::ThreadRegistry::slot()].value;
-  }
+  tm::PrivateCell<Ref>& my_ref() noexcept { return refs_.mine(); }
 
   std::size_t log2_slots_;
   std::vector<std::int64_t> own_;
-  util::CachePadded<tm::PrivateCell<Ref>> refs_[util::kMaxThreads];
+  tm::PrivateSlots<tm::PrivateCell<Ref>> refs_;
   SlotGenerations generations_;
 };
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/rr_common.hpp"
-#include "util/cacheline.hpp"
 
 namespace hohtm::rr {
 
@@ -81,6 +80,7 @@ class RrV {
 
  private:
   struct Cell {
+    explicit Cell(tm::OwnerKey key) : ref(key), version(key) {}
     tm::PrivateCell<Ref> ref;
     tm::PrivateCell<std::uint64_t> version;
   };
@@ -89,11 +89,11 @@ class RrV {
     return hash_ref(ref, log2_slots_);
   }
 
-  Cell& mine() noexcept { return cells_[util::ThreadRegistry::slot()].value; }
+  Cell& mine() noexcept { return cells_.mine(); }
 
   std::size_t log2_slots_;
   std::vector<std::uint64_t> versions_;
-  util::CachePadded<Cell> cells_[util::kMaxThreads];
+  tm::PrivateSlots<Cell> cells_;
   SlotGenerations generations_;
 };
 

@@ -6,8 +6,7 @@
 #include <vector>
 
 #include "reclaim/gauge.hpp"
-#include "util/cacheline.hpp"
-#include "util/thread_registry.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::ds {
 
@@ -42,7 +41,7 @@ class NmTree {
   NmTree& operator=(const NmTree&) = delete;
 
   ~NmTree() {
-    for (auto& registry : registries_) {
+    for (auto& registry : registries_.live()) {
       for (Node* n : registry->nodes) {
         delete n;
         reclaim::Gauge::on_free();
@@ -160,7 +159,7 @@ class NmTree {
   Node* make(Key k, Node* l, Node* r) {
     Node* n = new Node(k, l, r);
     reclaim::Gauge::on_alloc();
-    registries_[util::ThreadRegistry::slot()]->nodes.push_back(n);
+    registries_.mine().nodes.push_back(n);
     return n;
   }
 
@@ -245,7 +244,7 @@ class NmTree {
   };
 
   Node* root_;
-  util::CachePadded<Registry> registries_[util::kMaxThreads];
+  util::PerThread<Registry> registries_;
 };
 
 }  // namespace hohtm::ds

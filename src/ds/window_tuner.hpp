@@ -4,8 +4,7 @@
 
 #include "ds/window_policy.hpp"
 #include "tm/config.hpp"
-#include "util/cacheline.hpp"
-#include "util/thread_registry.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::ds {
 
@@ -128,7 +127,7 @@ class WindowTuner {
   /// mistune the newcomer — so the state is scrubbed whenever the slot's
   /// recorded generation differs from the calling thread's.
   State& mine() noexcept {
-    State& s = states_[util::ThreadRegistry::slot()].value;
+    State& s = states_.mine();
     const std::uint64_t gen = util::ThreadRegistry::generation();
     if (s.generation != gen) {
       s = State{};
@@ -140,7 +139,7 @@ class WindowTuner {
   const int min_window_;
   const int max_window_;
   int fusion_cap_;
-  util::CachePadded<State> states_[util::kMaxThreads];
+  util::PerThread<State> states_;
 };
 
 }  // namespace hohtm::ds

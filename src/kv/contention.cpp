@@ -7,7 +7,7 @@ namespace hohtm::kv {
 
 void ContentionMap::note(std::uint32_t shard, std::uint32_t cell,
                          std::uint64_t weight) noexcept {
-  Sketch& mine = sketches_[util::ThreadRegistry::slot()].value;
+  Sketch& mine = sketches_.mine();
   const std::uint64_t key =
       (static_cast<std::uint64_t>(shard) << 32) | cell;
   std::size_t min_at = 0;
@@ -33,9 +33,8 @@ void ContentionMap::note(std::uint32_t shard, std::uint32_t cell,
 
 std::vector<ContentionMap::Hot> ContentionMap::top(std::size_t k) {
   std::map<std::uint64_t, std::uint64_t> merged;
-  const std::size_t n = util::ThreadRegistry::high_watermark();
-  for (std::size_t t = 0; t < n; ++t) {
-    const Sketch& sketch = sketches_[t].value;
+  for (const auto& padded : sketches_.live()) {
+    const Sketch& sketch = padded.value;
     for (std::size_t i = 0; i < kEntries; ++i) {
       const std::uint64_t count =
           sketch.count[i].load(std::memory_order_acquire);
@@ -69,7 +68,7 @@ void ContentionMap::write_json(std::FILE* out) {
 }
 
 void ContentionMap::reset() noexcept {
-  for (auto& padded : sketches_) {
+  for (auto& padded : sketches_.live()) {
     for (std::size_t i = 0; i < kEntries; ++i) {
       padded.value.key[i].store(0, std::memory_order_relaxed);
       padded.value.count[i].store(0, std::memory_order_relaxed);

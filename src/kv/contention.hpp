@@ -5,8 +5,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "util/cacheline.hpp"
-#include "util/thread_registry.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::kv {
 
@@ -64,7 +63,9 @@ class ContentionMap {
     std::atomic<std::uint64_t> key[kEntries];    // (shard << 32) | cell
     std::atomic<std::uint64_t> count[kEntries];  // 0 = slot empty
   };
-  static inline util::CachePadded<Sketch> sketches_[util::kMaxThreads] = {};
+  static constinit inline util::PerThread<Sketch> sketches_;
+  // One 256-byte sketch (four lines) per slot, as a raw padded array had.
+  static_assert(sizeof(sketches_) == util::kMaxThreads * 256);
 };
 
 }  // namespace hohtm::kv

@@ -10,6 +10,7 @@
 
 #include "harness/metrics.hpp"
 #include "kv/store.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::kv {
 
@@ -236,7 +237,7 @@ class Service {
   /// The net event loop runs single-op pipeline reads this way
   /// (docs/SERVING.md). Never pass kStop.
   bool run_here(Request req) {
-    return gated(req, [&] { execute(req, inline_stats_.value); });
+    return gated(req, [&] { execute(req, stats_.mine()); });
   }
 
   /// Convenience synchronous client calls (one Completion on the stack).
@@ -311,14 +312,12 @@ class Service {
 
   Stats stats() const noexcept {
     Stats total;
-    const auto add = [&total](const AtomicStats& s) {
-      total.gets += s.gets.load(std::memory_order_relaxed);
-      total.puts += s.puts.load(std::memory_order_relaxed);
-      total.dels += s.dels.load(std::memory_order_relaxed);
-      total.scans += s.scans.load(std::memory_order_relaxed);
-    };
-    for (const auto& s : worker_stats_) add(s.value);
-    add(inline_stats_.value);
+    for (const auto& s : stats_.live()) {
+      total.gets += s->gets.load(std::memory_order_relaxed);
+      total.puts += s->puts.load(std::memory_order_relaxed);
+      total.dels += s->dels.load(std::memory_order_relaxed);
+      total.scans += s->scans.load(std::memory_order_relaxed);
+    }
     return total;
   }
 
@@ -373,10 +372,7 @@ class Service {
   }
 
   void serve() {
-    const std::size_t me =
-        worker_seq_.fetch_add(1, std::memory_order_relaxed) %
-        util::kMaxThreads;
-    AtomicStats& stats = worker_stats_[me].value;
+    AtomicStats& stats = stats_.mine();
     for (;;) {
       Request req = ring_.pop();
       if (req.op == OpCode::kStop) return;  // one sentinel per worker
@@ -498,9 +494,9 @@ class Service {
   std::vector<std::thread> workers_;
   std::atomic<bool> stopped_{false};
   std::atomic<std::size_t> submitters_{0};  // callers inside the gate
-  std::atomic<std::size_t> worker_seq_{0};
-  util::CachePadded<AtomicStats> worker_stats_[util::kMaxThreads];
-  util::CachePadded<AtomicStats> inline_stats_;  // run_here() callers
+  // One cell per registry slot: workers and run_here() callers alike
+  // count into their own, so each cell has one writer.
+  util::PerThread<AtomicStats> stats_;
 };
 
 }  // namespace hohtm::kv

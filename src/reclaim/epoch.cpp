@@ -20,7 +20,7 @@ int freed_metric() {
 }  // namespace
 
 EpochDomain::~EpochDomain() {
-  for (auto& bucket : buckets_) {
+  for (auto& bucket : buckets_.live()) {
     for (auto& generation : bucket->generation) {
       for (const Retired& r : generation) r.deleter(r.ptr);
       util::MetricsRegistry::add(freed_metric(), generation.size());
@@ -32,7 +32,7 @@ EpochDomain::~EpochDomain() {
 void EpochDomain::retire(void* ptr, void (*deleter)(void*) noexcept) {
   util::trace_event(util::Ev::kRetire, reinterpret_cast<std::uintptr_t>(ptr));
   util::MetricsRegistry::add(retired_metric());
-  Bucket& mine = buckets_[util::ThreadRegistry::slot()].value;
+  Bucket& mine = buckets_.mine();
   const std::uint64_t e = global_epoch_->load(std::memory_order_acquire);
   mine.generation[e % kGenerations].push_back(Retired{ptr, deleter});
   if (++mine.since_advance >= advance_threshold_) {
@@ -43,10 +43,9 @@ void EpochDomain::retire(void* ptr, void (*deleter)(void*) noexcept) {
 
 bool EpochDomain::try_advance() {
   const std::uint64_t e = global_epoch_->load(std::memory_order_seq_cst);
-  const std::size_t threads = util::ThreadRegistry::high_watermark();
-  for (std::size_t i = 0; i < threads; ++i) {
+  for (const auto& cell : cells_.live()) {
     const std::uint64_t local =
-        cells_[i]->local_epoch.load(std::memory_order_seq_cst);
+        cell->local_epoch.load(std::memory_order_seq_cst);
     if (local != kIdle && local < e) return false;  // a reader lags behind
   }
   // All pinned threads have seen epoch e; retired nodes from generation
@@ -56,7 +55,7 @@ bool EpochDomain::try_advance() {
                                               std::memory_order_seq_cst))
     return false;  // someone else advanced; their free pass covers us
   util::trace_event(util::Ev::kEpochAdvance, e + 1);
-  Bucket& mine = buckets_[util::ThreadRegistry::slot()].value;
+  Bucket& mine = buckets_.mine();
   auto& reclaimable = mine.generation[(e + 1) % kGenerations];
   for (const Retired& r : reclaimable) r.deleter(r.ptr);
   util::MetricsRegistry::add(freed_metric(), reclaimable.size());
@@ -66,9 +65,8 @@ bool EpochDomain::try_advance() {
 
 std::size_t EpochDomain::total_backlog() const noexcept {
   std::size_t total = 0;
-  const std::size_t threads = util::ThreadRegistry::high_watermark();
-  for (std::size_t i = 0; i < threads; ++i)
-    for (const auto& generation : buckets_[i]->generation)
+  for (const auto& bucket : buckets_.live())
+    for (const auto& generation : bucket->generation)
       total += generation.size();
   return total;
 }

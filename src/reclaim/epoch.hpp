@@ -5,8 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/cacheline.hpp"
-#include "util/thread_registry.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::reclaim {
 
@@ -24,10 +23,7 @@ namespace hohtm::reclaim {
 class EpochDomain {
  public:
   explicit EpochDomain(std::size_t advance_threshold = 64)
-      : advance_threshold_(advance_threshold) {
-    for (auto& cell : cells_)
-      cell->local_epoch.store(kIdle, std::memory_order_relaxed);
-  }
+      : advance_threshold_(advance_threshold) {}
 
   EpochDomain(const EpochDomain&) = delete;
   EpochDomain& operator=(const EpochDomain&) = delete;
@@ -68,7 +64,7 @@ class EpochDomain {
     void (*deleter)(void*) noexcept;
   };
   struct Cell {
-    std::atomic<std::uint64_t> local_epoch;  // kIdle when not pinned
+    std::atomic<std::uint64_t> local_epoch{kIdle};  // kIdle when not pinned
   };
   struct Bucket {
     std::vector<Retired> generation[kGenerations];
@@ -76,20 +72,19 @@ class EpochDomain {
   };
 
   void enter() noexcept {
-    auto& cell = cells_[util::ThreadRegistry::slot()].value;
+    auto& cell = cells_.mine();
     cell.local_epoch.store(global_epoch_->load(std::memory_order_seq_cst),
                            std::memory_order_seq_cst);
   }
 
   void exit() noexcept {
-    cells_[util::ThreadRegistry::slot()]->local_epoch.store(
-        kIdle, std::memory_order_release);
+    cells_.mine().local_epoch.store(kIdle, std::memory_order_release);
   }
 
   const std::size_t advance_threshold_;
   util::CachePadded<std::atomic<std::uint64_t>> global_epoch_{0};
-  util::CachePadded<Cell> cells_[util::kMaxThreads];
-  util::CachePadded<Bucket> buckets_[util::kMaxThreads];
+  util::PerThread<Cell> cells_;
+  util::PerThread<Bucket> buckets_;
 };
 
 }  // namespace hohtm::reclaim

@@ -3,8 +3,7 @@
 #include <atomic>
 #include <cstdint>
 
-#include "util/cacheline.hpp"
-#include "util/thread_registry.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::reclaim {
 
@@ -29,10 +28,9 @@ class Gauge {
   static std::int64_t live() noexcept {
     std::int64_t allocs = 0;
     std::int64_t frees = 0;
-    const std::size_t n = util::ThreadRegistry::high_watermark();
-    for (std::size_t i = 0; i < n; ++i) {
-      allocs += slots_[i]->allocs.load(std::memory_order_acquire);
-      frees += slots_[i]->frees.load(std::memory_order_acquire);
+    for (const auto& slot : slots_.live()) {
+      allocs += slot->allocs.load(std::memory_order_acquire);
+      frees += slot->frees.load(std::memory_order_acquire);
     }
     const std::int64_t result = allocs - frees;
     // Advance the high-water mark: live() is the only place a coherent
@@ -61,20 +59,18 @@ class Gauge {
 
  private:
   struct Cell {
-    // No default member initializers: CachePadded<Cell> is instantiated
+    // No default member initializers: PerThread<Cell> is instantiated
     // inside this class, before such initializers would be complete. The
     // C++20 std::atomic default constructor value-initializes to zero.
     std::atomic<std::int64_t> allocs;
     std::atomic<std::int64_t> frees;
   };
-  static Cell& cell() noexcept {
-    return slots_[util::ThreadRegistry::slot()].value;
-  }
+  static Cell& cell() noexcept { return slots_.mine(); }
   static void bump(std::atomic<std::int64_t>& counter) noexcept {
     counter.store(counter.load(std::memory_order_relaxed) + 1,
                   std::memory_order_release);
   }
-  static inline util::CachePadded<Cell> slots_[util::kMaxThreads];
+  static constinit inline util::PerThread<Cell> slots_;
   static inline std::atomic<std::int64_t> peak_{0};
 };
 

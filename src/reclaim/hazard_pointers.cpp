@@ -22,7 +22,7 @@ int freed_metric() {
 }  // namespace
 
 HazardDomain::~HazardDomain() {
-  for (auto& list : lists_) {
+  for (auto& list : lists_.live()) {
     for (const Retired& r : list->items) r.deleter(r.ptr);
     util::MetricsRegistry::add(freed_metric(), list->items.size());
     list->items.clear();
@@ -32,7 +32,7 @@ HazardDomain::~HazardDomain() {
 void HazardDomain::retire(void* ptr, void (*deleter)(void*) noexcept) {
   util::trace_event(util::Ev::kRetire, reinterpret_cast<std::uintptr_t>(ptr));
   util::MetricsRegistry::add(retired_metric());
-  RetireList& mine = lists_[util::ThreadRegistry::slot()].value;
+  RetireList& mine = lists_.mine();
   mine.items.push_back(Retired{ptr, deleter});
   if (mine.items.size() >= scan_threshold_) scan();
 }
@@ -50,7 +50,7 @@ void HazardDomain::scan() {
   std::sort(hazards.begin(), hazards.end());
 
   // Stage 2: free what is not protected; keep the rest queued.
-  RetireList& mine = lists_[util::ThreadRegistry::slot()].value;
+  RetireList& mine = lists_.mine();
   std::vector<Retired> still_hazardous;
   still_hazardous.reserve(mine.items.size());
   for (const Retired& r : mine.items) {
@@ -70,8 +70,7 @@ void HazardDomain::scan() {
 
 std::size_t HazardDomain::total_backlog() const noexcept {
   std::size_t total = 0;
-  const std::size_t threads = util::ThreadRegistry::high_watermark();
-  for (std::size_t i = 0; i < threads; ++i) total += lists_[i]->items.size();
+  for (const auto& list : lists_.live()) total += list->items.size();
   return total;
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "util/cacheline.hpp"
+#include "util/per_thread.hpp"
 #include "util/thread_registry.hpp"
 
 namespace hohtm::reclaim {
@@ -66,7 +67,7 @@ class HazardDomain {
 
   /// Current retire backlog of the calling thread (diagnostics).
   std::size_t my_backlog() const noexcept {
-    return lists_[util::ThreadRegistry::slot()]->items.size();
+    return lists_.mine().items.size();
   }
 
   /// Total backlog across threads; approximate under concurrency.
@@ -90,7 +91,7 @@ class HazardDomain {
   const PrescanHook prescan_ = nullptr;
   util::CachePadded<std::atomic<const void*>>
       slots_[util::kMaxThreads * kSlotsPerThread];
-  util::CachePadded<RetireList> lists_[util::kMaxThreads];
+  util::PerThread<RetireList> lists_;
 };
 
 }  // namespace hohtm::reclaim

@@ -39,9 +39,9 @@ Watchdog::Report Watchdog::check(std::uint64_t now_ns) {
   std::lock_guard<std::mutex> lock(cs.mu);
   Report report;
   const std::uint64_t threshold = threshold_ns();
-  const std::size_t n = util::ThreadRegistry::high_watermark();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Slot& slot = slots_[i].value;
+  const auto live = slots_.live();
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const Slot& slot = live[i].value;
     Baseline& base = cs.baselines[i];
     const bool active = slot.active.load(std::memory_order_relaxed) != 0;
     const std::uint64_t progress =

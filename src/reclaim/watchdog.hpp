@@ -3,8 +3,7 @@
 #include <atomic>
 #include <cstdint>
 
-#include "util/cacheline.hpp"
-#include "util/thread_registry.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::reclaim {
 
@@ -30,14 +29,13 @@ class Watchdog {
  public:
   /// Hot-path hooks, called from Quiescence::publish / deactivate.
   static void on_publish() noexcept {
-    Slot& slot = slots_[util::ThreadRegistry::slot()].value;
+    Slot& slot = slots_.mine();
     slot.progress.store(slot.progress.load(std::memory_order_relaxed) + 1,
                         std::memory_order_relaxed);
     slot.active.store(1, std::memory_order_relaxed);
   }
   static void on_deactivate() noexcept {
-    slots_[util::ThreadRegistry::slot()].value.active.store(
-        0, std::memory_order_relaxed);
+    slots_.mine().active.store(0, std::memory_order_relaxed);
   }
 
   struct Report {
@@ -73,13 +71,13 @@ class Watchdog {
 
  private:
   struct Slot {
-    // No default member initializers: CachePadded<Slot> is instantiated
+    // No default member initializers: PerThread<Slot> is instantiated
     // inside this class, before such initializers would be complete (see
     // reclaim::Gauge::Cell). C++20 std::atomic zero-initializes.
     std::atomic<std::uint64_t> progress;
     std::atomic<std::uint64_t> active;
   };
-  static inline util::CachePadded<Slot> slots_[util::kMaxThreads] = {};
+  static constinit inline util::PerThread<Slot> slots_;
   static inline std::atomic<std::uint64_t> threshold_ns_{
       100ULL * 1000 * 1000};  // 100 ms default
   static inline std::atomic<std::uint64_t> stall_events_{0};

@@ -4,8 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "util/cacheline.hpp"
-#include "util/thread_registry.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::tm {
 
@@ -105,7 +104,8 @@ struct StatCounters {
   /// aborter thread-registry slot plus a final *unknown* bucket. Every
   /// attributed event increments exactly one bucket, so the buckets sum
   /// to the corresponding event total by construction — the invariant
-  /// the kv_ycsb smoke and the sched attribution tests assert.
+  /// KvAttribution.ContendedCellBucketsSumExactlyToLosses and the
+  /// SchedAttr.* tests assert.
   static constexpr std::size_t kAttrSlots = util::kMaxThreads + 1;
   static constexpr std::size_t kAttrUnknown = util::kMaxThreads;
   /// Reservation losses by the revoker's slot; sums to
@@ -202,23 +202,20 @@ struct StatCounters {
 
 class Stats {
  public:
-  static StatCounters& mine() noexcept {
-    return slots_[util::ThreadRegistry::slot()].value;
-  }
+  static StatCounters& mine() noexcept { return slots_.mine(); }
 
   static StatCounters total() noexcept {
     StatCounters sum;
-    const std::size_t n = util::ThreadRegistry::high_watermark();
-    for (std::size_t i = 0; i < n; ++i) sum.accumulate(slots_[i].value);
+    for (const auto& s : slots_.live()) sum.accumulate(s.value);
     return sum;
   }
 
   static void reset() noexcept {
-    for (auto& s : slots_) s.value = StatCounters{};
+    for (auto& s : slots_.live()) s.value = StatCounters{};
   }
 
  private:
-  static inline util::CachePadded<StatCounters> slots_[util::kMaxThreads];
+  static constinit inline util::PerThread<StatCounters> slots_;
 };
 
 }  // namespace hohtm::tm

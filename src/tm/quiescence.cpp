@@ -17,16 +17,14 @@ void Quiescence::wait_until(std::uint64_t ts) const noexcept {
   // not depend on registry slot-scan order (keeps replays exact).
   sched::spin_wait(sched::Op::kQuiesceWait,
                    [this, ts] { return settled_at(ts); });
-  const std::size_t n = util::ThreadRegistry::high_watermark();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (const auto& slot : slots_.live()) {
     util::Backoff backoff;
     for (;;) {
-      const std::uint64_t published =
-          slots_[i]->load(std::memory_order_acquire);
+      const std::uint64_t published = slot->load(std::memory_order_acquire);
       if (published == 0 || published >= ts + 1) {
         // The slot owner's accesses up to its publish/deactivate now
         // happen-before the deferred frees that follow this fence.
-        tsan::acquire(&*slots_[i]);
+        tsan::acquire(&*slot);
         break;
       }
       backoff.pause();
@@ -39,11 +37,10 @@ void Quiescence::wait_all_inactive() const noexcept {
   Stats::mine().quiescence_waits += 1;
   const std::uint64_t stall_start = util::trace_quiesce_enter();
   sched::spin_wait(sched::Op::kQuiesceWait, [this] { return all_inactive(); });
-  const std::size_t n = util::ThreadRegistry::high_watermark();
-  for (std::size_t i = 0; i < n; ++i) {
+  for (const auto& slot : slots_.live()) {
     util::Backoff backoff;
-    while (slots_[i]->load(std::memory_order_acquire) != 0) backoff.pause();
-    tsan::acquire(&*slots_[i]);  // see wait_until
+    while (slot->load(std::memory_order_acquire) != 0) backoff.pause();
+    tsan::acquire(&*slot);  // see wait_until
   }
   util::trace_quiesce_exit(stall_start);
 }

@@ -5,8 +5,7 @@
 
 #include "reclaim/watchdog.hpp"
 #include "sched/schedpoint.hpp"
-#include "util/cacheline.hpp"
-#include "util/thread_registry.hpp"
+#include "util/per_thread.hpp"
 #include "util/tsan.hpp"
 
 namespace hohtm::tm {
@@ -35,7 +34,7 @@ class Quiescence {
   void publish(std::uint64_t ts) noexcept {
     sched::point(sched::Op::kQuiescePublish, this);
     reclaim::Watchdog::on_publish();
-    auto& slot = *slots_[util::ThreadRegistry::slot()];
+    auto& slot = slots_.mine();
     // Everything this thread read before (re)validating at ts must
     // happen-before any free gated on wait_until(<= ts) observing it.
     tsan::release(&slot);
@@ -46,14 +45,13 @@ class Quiescence {
   void deactivate() noexcept {
     sched::point(sched::Op::kQuiesceDeactivate, this);
     reclaim::Watchdog::on_deactivate();
-    auto& slot = *slots_[util::ThreadRegistry::slot()];
+    auto& slot = slots_.mine();
     tsan::release(&slot);  // all of this thread's transactional accesses
     slot.store(0, std::memory_order_release);
   }
 
   bool active() const noexcept {
-    return slots_[util::ThreadRegistry::slot()]->load(
-               std::memory_order_relaxed) != 0;
+    return slots_.mine().load(std::memory_order_relaxed) != 0;
   }
 
   /// Block until every thread is inactive or published a timestamp >= ts.
@@ -69,10 +67,8 @@ class Quiescence {
   /// fence predicate (rather than a per-slot scan) so that tests and the
   /// virtual scheduler observe settledness independently of slot order.
   bool settled_at(std::uint64_t ts) const noexcept {
-    const std::size_t n = util::ThreadRegistry::high_watermark();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t published =
-          slots_[i]->load(std::memory_order_acquire);
+    for (const auto& slot : slots_.live()) {
+      const std::uint64_t published = slot->load(std::memory_order_acquire);
       if (published != 0 && published < ts + 1) return false;
     }
     return true;
@@ -80,14 +76,13 @@ class Quiescence {
 
   /// True when every slot is inactive — wait_all_inactive() would not block.
   bool all_inactive() const noexcept {
-    const std::size_t n = util::ThreadRegistry::high_watermark();
-    for (std::size_t i = 0; i < n; ++i)
-      if (slots_[i]->load(std::memory_order_acquire) != 0) return false;
+    for (const auto& slot : slots_.live())
+      if (slot->load(std::memory_order_acquire) != 0) return false;
     return true;
   }
 
  private:
-  util::CachePadded<std::atomic<std::uint64_t>> slots_[util::kMaxThreads];
+  util::PerThread<std::atomic<std::uint64_t>> slots_;
 };
 
 }  // namespace hohtm::tm

@@ -15,13 +15,15 @@
 ///
 /// Owner-private path: `tx.read_private(cell)` / `tx.write_private(cell,
 /// v)` on a PrivateCell (tm/word.hpp). Contract: the cell is never read
-/// by another thread, and its writes are written back only on commit
-/// (an abort, a user exception, or a serial-mode retry drops them). The
-/// reads are not logged or validated and the writes never enter the
-/// backend's write set, so a transaction whose only writes are private
-/// commits as a reader. That mirrors the paper's HTM, whose commits touch
-/// no global metadata: a hand-over-hand window that only moves its own
-/// reservation cell does not advance the NOrec seqlock or the TL2 clock.
+/// by another thread, which the type enforces (a cell exists only inside
+/// a PrivateSlots holder, reached through its owner's `mine()`), and its
+/// writes are written back only on commit (an abort, a user exception,
+/// or a serial-mode retry drops them). The reads are not logged or
+/// validated and the writes never enter the backend's write set, so a
+/// transaction whose only writes are private commits as a reader. That
+/// mirrors the paper's HTM, whose commits touch no global metadata: a
+/// hand-over-hand window that only moves its own reservation cell does
+/// not advance the NOrec seqlock or the TL2 clock.
 ///
 /// See DESIGN.md section 1.1 for the backend comparison and section 3 for
 /// why deferred-free-at-commit plus quiescence reproduces the reclamation
@@ -44,9 +46,7 @@ concept TMBackend = requires(typename TM::Tx& tx, int& loc, int val,
                              PrivateCell<int>& cell) {
   { tx.read(loc) } -> std::same_as<int>;
   { tx.write(loc, val) };
-  // A requires-parameter, not a cell: hohtm-lint: allow(private-cell-owner)
   { tx.read_private(cell) } -> std::same_as<int>;
-  // hohtm-lint: allow(private-cell-owner)
   { tx.write_private(cell, val) };
   { tx.template alloc<int>(0) } -> std::same_as<int*>;
   { tx.dealloc(static_cast<int*>(nullptr)) };

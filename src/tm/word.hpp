@@ -6,6 +6,7 @@
 #include <type_traits>
 
 #include "sched/schedpoint.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::tm {
 
@@ -20,24 +21,53 @@ concept TxWord = std::is_trivially_copyable_v<T> &&
                  (sizeof(T) == 1 || sizeof(T) == 2 || sizeof(T) == 4 ||
                   sizeof(T) == 8);
 
+template <class T>
+class PrivateSlots;
+
+/// Passkey for PrivateCell construction: only PrivateSlots can make one,
+/// so every private cell lives in a PrivateSlots holder. Cells that
+/// contain private cells (RR-V's {ref, version}) take the key and forward
+/// it to their members.
+class OwnerKey {
+  OwnerKey() = default;
+  template <class>
+  friend class PrivateSlots;
+};
+
 /// A word that only its owning thread ever reads or writes: a per-thread
-/// reservation cell, reached through the owner's ThreadRegistry::slot()
-/// index. It is reachable only through `tx.read_private` /
+/// reservation cell. It is reachable only through `tx.read_private` /
 /// `tx.write_private` (see TxLifecycle), which buffer writes until the
 /// transaction commits and never log or validate reads, so a transaction
 /// whose only writes are private ones commits as a reader. Non-copyable,
 /// hence not a TxWord: `tx.read(cell)` / `tx.write(cell, v)` do not
-/// compile.
+/// compile. Constructible only from an OwnerKey, so the one way to reach
+/// a cell is `PrivateSlots::mine()`: the type, not a convention, keeps
+/// other threads out.
 template <TxWord T>
 class PrivateCell {
  public:
-  PrivateCell() = default;
+  explicit constexpr PrivateCell(OwnerKey) noexcept {}
   PrivateCell(const PrivateCell&) = delete;
   PrivateCell& operator=(const PrivateCell&) = delete;
 
  private:
   friend class TxLifecycle;
   T value_{};
+};
+
+/// Owner-only holder: one padded `T` (a PrivateCell, or a cell built of
+/// them) per thread-registry slot, and no accessor but the calling
+/// thread's own. There is deliberately no by-slot or live-range reach.
+template <class T>
+class PrivateSlots {
+ public:
+  T& mine() noexcept { return slots_.mine(); }
+
+ private:
+  struct Keyed : T {
+    Keyed() : T(OwnerKey{}) {}
+  };
+  util::PerThread<Keyed> slots_;
 };
 
 static_assert(!TxWord<PrivateCell<int>>);

@@ -12,11 +12,12 @@ namespace hohtm::util {
 /// this library targets.
 inline constexpr std::size_t kCacheLineSize = 64;
 
-/// Wraps a value so that it occupies (at least) its own cache line.
-/// Used for per-thread slots in shared arrays (reservation metadata,
-/// quiescence timestamps, hazard-pointer slots) so that one thread's writes
-/// never falsely invalidate a neighbour's line — the paper's RR algorithms
-/// assume "each thread's node is in a separate cache line" (Section 3.1).
+/// Wraps a value so that it occupies (at least) its own cache line, so
+/// that one thread's writes never falsely invalidate a neighbour's line —
+/// the paper's RR algorithms assume "each thread's node is in a separate
+/// cache line" (Section 3.1). Per-thread slots get it through
+/// util::PerThread (util/per_thread.hpp); the hazard-pointer slot matrix
+/// and single hot shared words use it directly.
 template <class T>
 struct alignas(kCacheLineSize) CachePadded {
   T value{};

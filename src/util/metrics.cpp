@@ -63,8 +63,7 @@ int MetricsRegistry::counter(const char* name) {
 
 void MetricsRegistry::add(int id, std::uint64_t n) noexcept {
   if (id < 0 || id >= kMaxMetrics) return;
-  std::atomic<std::uint64_t>& cell =
-      slots_[ThreadRegistry::slot()].value.v[id];
+  std::atomic<std::uint64_t>& cell = slots_.mine().v[id];
   cell.store(cell.load(std::memory_order_relaxed) + n,
              std::memory_order_release);
 }
@@ -72,9 +71,8 @@ void MetricsRegistry::add(int id, std::uint64_t n) noexcept {
 std::uint64_t MetricsRegistry::total(int id) noexcept {
   if (id < 0 || id >= kMaxMetrics) return 0;
   std::uint64_t sum = 0;
-  const std::size_t threads = ThreadRegistry::high_watermark();
-  for (std::size_t s = 0; s < threads; ++s)
-    sum += slots_[s].value.v[id].load(std::memory_order_acquire);
+  for (const auto& slot : slots_.live())
+    sum += slot->v[id].load(std::memory_order_acquire);
   return sum;
 }
 
@@ -193,8 +191,8 @@ void MetricsRegistry::enable_env_dump() {
 }
 
 void MetricsRegistry::reset_counters_for_testing() noexcept {
-  for (auto& padded : slots_)
-    for (auto& cell : padded.value.v)
+  for (auto& padded : slots_.live())
+    for (auto& cell : padded->v)
       cell.store(0, std::memory_order_release);
 }
 

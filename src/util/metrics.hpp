@@ -5,8 +5,7 @@
 #include <cstdio>
 #include <string>
 
-#include "util/cacheline.hpp"
-#include "util/thread_registry.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::util {
 
@@ -90,7 +89,7 @@ class MetricsRegistry {
   };
   // One padded cell block per thread-registry slot, written only by the
   // owning thread — the tm::Stats single-writer discipline.
-  static inline CachePadded<Slots> slots_[kMaxThreads] = {};
+  static constinit inline PerThread<Slots> slots_;
 };
 
 }  // namespace hohtm::util

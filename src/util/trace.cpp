@@ -20,18 +20,16 @@ void Trace::set_clock(ClockFn fn) noexcept {
 
 std::size_t Trace::size() noexcept {
   std::size_t total = 0;
-  const std::size_t n = ThreadRegistry::high_watermark();
-  for (std::size_t i = 0; i < n; ++i)
+  for (const auto& ring : rings_.live())
     total += static_cast<std::size_t>(
-        std::min<std::uint64_t>(rings_[i].value.next, kCapacity));
+        std::min<std::uint64_t>(ring->next, kCapacity));
   return total;
 }
 
 std::uint64_t Trace::dropped() noexcept {
   std::uint64_t total = 0;
-  const std::size_t n = ThreadRegistry::high_watermark();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t next = rings_[i].value.next;
+  for (const auto& ring : rings_.live()) {
+    const std::uint64_t next = ring->next;
     if (next > kCapacity) total += next - kCapacity;
   }
   return total;
@@ -40,9 +38,8 @@ std::uint64_t Trace::dropped() noexcept {
 std::vector<TraceRecord> Trace::snapshot() {
   std::vector<TraceRecord> out;
   out.reserve(size());
-  const std::size_t n = ThreadRegistry::high_watermark();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Ring& ring = rings_[i].value;
+  for (const auto& padded : rings_.live()) {
+    const Ring& ring = padded.value;
     const std::uint64_t count = std::min<std::uint64_t>(ring.next, kCapacity);
     for (std::uint64_t k = ring.next - count; k < ring.next; ++k)
       out.push_back(ring.events[k & (kCapacity - 1)]);
@@ -73,7 +70,7 @@ void Trace::drain_json(std::FILE* out) {
 }
 
 void Trace::reset() noexcept {
-  for (auto& ring : rings_) ring.value.next = 0;
+  for (auto& ring : rings_.live()) ring->next = 0;
 }
 
 #ifdef HOHTM_TRACE_ENABLED

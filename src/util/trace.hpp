@@ -6,9 +6,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "util/cacheline.hpp"
 #include "util/histogram.hpp"
-#include "util/thread_registry.hpp"
+#include "util/per_thread.hpp"
 
 namespace hohtm::util {
 
@@ -110,7 +109,7 @@ class Trace {
   static void record(Ev kind, std::uint64_t arg = 0) noexcept {
     if (!active()) return;
     const std::size_t slot = ThreadRegistry::slot();
-    Ring& ring = rings_[slot].value;
+    Ring& ring = rings_.live()[slot].value;
     TraceRecord& r = ring.events[ring.next & (kCapacity - 1)];
     r.ts = now();
     r.arg = arg;
@@ -143,7 +142,7 @@ class Trace {
 
   static std::uint64_t steady_now() noexcept;
 
-  static inline CachePadded<Ring> rings_[kMaxThreads];
+  static constinit inline PerThread<Ring> rings_;
   static inline std::atomic<ClockFn> clock_fn_{nullptr};
   static inline std::atomic<bool> active_{true};
 
@@ -179,23 +178,20 @@ struct LatencyHistograms {
 /// points, reset() only while no instrumented thread runs.
 class Metrics {
  public:
-  static LatencyHistograms& mine() noexcept {
-    return slots_[ThreadRegistry::slot()].value;
-  }
+  static LatencyHistograms& mine() noexcept { return slots_.mine(); }
 
   static LatencyHistograms total() noexcept {
     LatencyHistograms sum;
-    const std::size_t n = ThreadRegistry::high_watermark();
-    for (std::size_t i = 0; i < n; ++i) sum.merge(slots_[i].value);
+    for (const auto& s : slots_.live()) sum.merge(s.value);
     return sum;
   }
 
   static void reset() noexcept {
-    for (auto& s : slots_) s.value.reset();
+    for (auto& s : slots_.live()) s.value.reset();
   }
 
  private:
-  static inline CachePadded<LatencyHistograms> slots_[kMaxThreads];
+  static constinit inline PerThread<LatencyHistograms> slots_;
 };
 
 // ---------------------------------------------------------------------------

@@ -2,14 +2,30 @@
 // tm::PrivateCell) on every backend: read-after-write inside one
 // transaction, write-back only on commit, discard on every way an attempt
 // can end without committing, and one buffer shared by flattened nesting.
+// Owner-only access is a compile-time property: a cell exists only inside
+// a PrivateSlots holder, which hands out nothing but the caller's own.
 #include <gtest/gtest.h>
 
+#include <concepts>
+#include <cstddef>
 #include <stdexcept>
 
 #include "tm/tm.hpp"
 
 namespace hohtm::tm {
 namespace {
+
+static_assert(!std::default_initializable<PrivateCell<long>>);
+static_assert(!std::default_initializable<OwnerKey>);
+static_assert(!std::copy_constructible<PrivateCell<long>>);
+
+template <class Holder>
+concept ReachesBySlot =
+    requires(Holder& h, std::size_t slot) { h[slot]; } ||
+    requires(Holder& h) { h.live(); } ||
+    requires(Holder& h, std::size_t slot) { h.at(slot); };
+static_assert(!ReachesBySlot<PrivateSlots<PrivateCell<long>>>);
+static_assert(ReachesBySlot<util::PerThread<long>>);  // the probe works
 
 template <class Tx>
 concept SharedReadAccepts = requires(Tx& tx, PrivateCell<long>& cell) {
@@ -40,7 +56,8 @@ TYPED_TEST(TmPrivateTest, SharedAccessorsRejectPrivateCells) {
 
 TYPED_TEST(TmPrivateTest, ReadAfterWriteSeesBufferedValue) {
   using TM = TypeParam;
-  static PrivateCell<long> cell;
+  static PrivateSlots<PrivateCell<long>> cells;
+  PrivateCell<long>& cell = cells.mine();
   TM::atomically([&](typename TM::Tx& tx) {
     EXPECT_EQ(tx.read_private(cell), 0);
     tx.write_private(cell, 7L);
@@ -53,7 +70,8 @@ TYPED_TEST(TmPrivateTest, ReadAfterWriteSeesBufferedValue) {
 
 TYPED_TEST(TmPrivateTest, VisibleAfterCommit) {
   using TM = TypeParam;
-  static PrivateCell<long> cell;
+  static PrivateSlots<PrivateCell<long>> cells;
+  PrivateCell<long>& cell = cells.mine();
   static long shared = 0;
   TM::atomically([&](typename TM::Tx& tx) {
     tx.write_private(cell, 42L);
@@ -67,7 +85,8 @@ TYPED_TEST(TmPrivateTest, VisibleAfterCommit) {
 
 TYPED_TEST(TmPrivateTest, DiscardedOnConflictAbort) {
   using TM = TypeParam;
-  static PrivateCell<long> cell;
+  static PrivateSlots<PrivateCell<long>> cells;
+  PrivateCell<long>& cell = cells.mine();
   int attempts = 0;
   long seen_on_retry = -1;
   TM::atomically([&](typename TM::Tx& tx) {
@@ -84,7 +103,8 @@ TYPED_TEST(TmPrivateTest, DiscardedOnConflictAbort) {
 
 TYPED_TEST(TmPrivateTest, DiscardedOnUserException) {
   using TM = TypeParam;
-  static PrivateCell<long> cell;
+  static PrivateSlots<PrivateCell<long>> cells;
+  PrivateCell<long>& cell = cells.mine();
   TM::atomically([&](typename TM::Tx& tx) { tx.write_private(cell, 1L); });
   EXPECT_THROW(TM::atomically([&](typename TM::Tx& tx) {
                  tx.write_private(cell, 2L);
@@ -96,7 +116,8 @@ TYPED_TEST(TmPrivateTest, DiscardedOnUserException) {
 
 TYPED_TEST(TmPrivateTest, DiscardedOnSerialRetry) {
   using TM = TypeParam;
-  static PrivateCell<long> cell;
+  static PrivateSlots<PrivateCell<long>> cells;
+  PrivateCell<long>& cell = cells.mine();
   int attempts = 0;
   long seen_on_retry = -1;
   TM::run_serial([&](typename TM::Tx& tx) {
@@ -113,14 +134,16 @@ TYPED_TEST(TmPrivateTest, DiscardedOnSerialRetry) {
 
 TYPED_TEST(TmPrivateTest, SerialCommitWritesBack) {
   using TM = TypeParam;
-  static PrivateCell<long> cell;
+  static PrivateSlots<PrivateCell<long>> cells;
+  PrivateCell<long>& cell = cells.mine();
   TM::run_serial([&](typename TM::Tx& tx) { tx.write_private(cell, 3L); });
   EXPECT_EQ(committed<TM>(cell), 3);
 }
 
 TYPED_TEST(TmPrivateTest, FlattenedNestingSharesTheBuffer) {
   using TM = TypeParam;
-  static PrivateCell<long> cell;
+  static PrivateSlots<PrivateCell<long>> cells;
+  PrivateCell<long>& cell = cells.mine();
   TM::atomically([&](typename TM::Tx& tx) {
     tx.write_private(cell, 10L);
     TM::atomically([&](typename TM::Tx& inner) {

@@ -63,14 +63,6 @@ EXPECTED = {
     ("src/util/using_bad.hpp", 4, "no-using-namespace"),
     ("src/core/padded_bad.hpp", 6, "padded-shared-array"),
     ("src/util/metric_slots_bad.hpp", 10, "padded-metric-slots"),
-    # private-cell-owner: a cell indexed by another thread's slot, a
-    # reference bound to one, and an accessor that does not index by
-    # ThreadRegistry::slot() (line 21's pragma silences a fourth); and a
-    # private access outside src/core/ and src/tm/.
-    ("src/core/private_cell_bad.hpp", 10, "private-cell-owner"),
-    ("src/core/private_cell_bad.hpp", 14, "private-cell-owner"),
-    ("src/core/private_cell_bad.hpp", 17, "private-cell-owner"),
-    ("src/ds/private_cell_outside_bad.hpp", 6, "private-cell-owner"),
     # allow_pragma.cpp: three violations suppressed by pragmas; the last
     # yield's pragma names a different rule, so it still fires.
     ("src/ds/allow_pragma.cpp", 17, "no-sleep-sync"),
@@ -114,8 +106,6 @@ class FixtureCorpus(unittest.TestCase):
                              "src/util/atomic_unordered_ok.hpp",
                              "src/tm/atomic_order_good.hpp",
                              "src/core/padded_good.hpp",
-                             "src/core/private_cell_good.hpp",
-                             "tests/core/private_cell_ok.cpp",
                              "src/util/metric_slots_good.hpp",
                              "src/ds/tx_alloc_good.cpp",
                              "src/util/trace.hpp",
@@ -149,7 +139,7 @@ class Cli(unittest.TestCase):
         for rule in ("tx-raw-alloc", "atomic-order", "no-sleep-sync",
                      "spin-park", "gated-hooks", "pragma-once",
                      "no-using-namespace", "padded-shared-array",
-                     "padded-metric-slots", "private-cell-owner"):
+                     "padded-metric-slots"):
             self.assertIn(rule, proc.stdout)
 
     def test_missing_path_is_usage_error(self):

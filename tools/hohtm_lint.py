@@ -74,13 +74,6 @@ RULES = {
         "per-thread shared arrays (sized by kMaxThreads) in src/ headers "
         "must wrap elements in util::CachePadded<> to prevent false sharing"
     ),
-    "private-cell-owner": (
-        "tx.read_private/tx.write_private appear only in src/core/ and "
-        "src/tm/, and only on a PrivateCell reached through the owner's "
-        "ThreadRegistry::slot()-indexed accessor: a private cell is "
-        "never logged or validated, so a second thread reading it would "
-        "see unsynchronized, uncommitted state"
-    ),
     "padded-metric-slots": (
         "shared metric-slot arrays (static atomics sized by kMaxMetrics) "
         "must sit behind util::CachePadded<> blocks: a flat static array "
@@ -132,12 +125,6 @@ SPIN_PARK_TOKENS = re.compile(
 )
 
 USING_NAMESPACE_RE = re.compile(r"(?<![\w_])using\s+namespace\b")
-
-PRIVATE_CALL_RE = re.compile(r"(?:\.|->)\s*(read_private|write_private)\s*\(")
-PRIVATE_DIRS = ("src/core/", "src/tm/")
-# Tests drive the primitive directly on their own cells.
-PRIVATE_EXEMPT_DIRS = ("tests/",)
-SLOT_INDEX = "ThreadRegistry::slot()"
 
 KMAX_ARRAY_RE = re.compile(r"\[\s*(?:util::)?kMaxThreads\s*\]")
 
@@ -199,7 +186,6 @@ class Linter:
         self._check_sleep_sync(rel, code, line_starts, lines, add)
         self._check_spin_park(rel, code, line_starts, add)
         self._check_gated_hooks(rel, code, lines, add)
-        self._check_private_cell_owner(rel, code, line_starts, add)
         if is_header:
             self._check_pragma_once(rel, raw_lines, add)
             self._check_using_namespace(rel, lines, add)
@@ -324,28 +310,7 @@ class Linter:
                     "default builds stay hook-free by construction",
                 )
 
-    # -- rule 6 ------------------------------------------------------------
-    def _check_private_cell_owner(self, rel, code, line_starts, add):
-        if rel.startswith(PRIVATE_EXEMPT_DIRS):
-            return
-        for m in PRIVATE_CALL_RE.finditer(code):
-            line = line_of(m.start(), line_starts)
-            if not rel.startswith(PRIVATE_DIRS):
-                add(line, "private-cell-owner",
-                    f"`{m.group(1)}` outside src/core/ and src/tm/: only "
-                    "the reservation and TM layers own private cells")
-                continue
-            paren = m.end() - 1
-            args = code[paren + 1:match_balanced(code, paren, "(", ")") - 1]
-            cell = _first_argument(args)
-            if not _reached_through_owner(code, m.start(), cell, 3):
-                add(line, "private-cell-owner",
-                    f"`{m.group(1)}({cell.strip()}...)`: the cell is not "
-                    "reached through a ThreadRegistry::slot()-indexed "
-                    "accessor; another thread's private cell must never "
-                    "be touched")
-
-    # -- rules 7-9 ---------------------------------------------------------
+    # -- rules 6-8 ---------------------------------------------------------
     def _check_pragma_once(self, rel, raw_lines, add):
         for i, ln in enumerate(raw_lines, start=1):
             s = ln.strip()
@@ -410,50 +375,6 @@ class Linter:
                 "slots inside per-thread util::CachePadded<> blocks "
                 "(util::MetricsRegistry is the reference layout)",
             )
-
-
-def _first_argument(args: str) -> str:
-    """The text of the first top-level argument of a call."""
-    depth = 0
-    for i, ch in enumerate(args):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return args[:i]
-    return args
-
-
-def _reached_through_owner(code: str, at: int, expr: str, budget: int) -> bool:
-    """True when `expr` (a cell expression used at offset `at`) indexes by
-    ThreadRegistry::slot(), calls an accessor whose body does, or is a
-    reference variable bound (by `=` or a range-for `:`) to such an
-    expression. Provenance is followed through at most `budget` bindings."""
-    if SLOT_INDEX in expr:
-        return True
-    root = re.match(r"\s*([A-Za-z_]\w*)\s*(\()?", expr)
-    if root is None or budget == 0:
-        return False
-    name, is_call = root.group(1), root.group(2) is not None
-    if is_call:
-        for d in re.finditer(r"(?<![\w.>])" + re.escape(name) +
-                             r"\s*\([^;{)]*\)\s*(?:const\s*)?"
-                             r"(?:noexcept\s*)?\{", code):
-            brace = d.end() - 1
-            if SLOT_INDEX in code[brace:match_balanced(code, brace, "{", "}")]:
-                return True
-        return False
-    binding = None
-    for d in re.finditer(r"&\s*" + re.escape(name) + r"\s*(=|:)(?!:)",
-                         code[:at]):
-        binding = d
-    if binding is None:
-        return False
-    end = binding.end()
-    stop = code.find(";" if binding.group(1) == "=" else ")", end)
-    return _reached_through_owner(code, binding.start(), code[end:stop],
-                                  budget - 1)
 
 
 # --------------------------------------------------------------------------
