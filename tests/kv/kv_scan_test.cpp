@@ -2,21 +2,27 @@
 // scans"): canonical (hash, key) order against a sorted mirror, edge
 // cases (empty store, limit 0/1, absent start key), scans that span
 // shard boundaries, scans against a store frozen mid-resize, a scan
-// whose visitor forces grows mid-scan, and the scan telemetry counters,
-// down to a YCSB-E cell's CSV columns. Everything here is
-// single-threaded and deterministic — the concurrent interleavings live
-// in tests/sched/sched_scan_test.cpp.
+// whose visitor forces grows mid-scan, the scan telemetry counters (down
+// to a YCSB-E cell's CSV columns) and a scan window's read set. Two
+// cases run threads: counters summed over scanning threads that have
+// exited, and scans racing frees of the chain heads their prefetch hints
+// load. Everything else is single-threaded and deterministic — the
+// explored concurrent interleavings live in
+// tests/sched/sched_scan_test.cpp.
 #include "kv/store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -258,6 +264,55 @@ TEST(KvScan, CountersTrackWindowsAndScans) {
   EXPECT_EQ(store.scan_resumes(), 0u);
 }
 
+// The counters are per-thread cells the accessors sum, so scans run by
+// threads that have exited before the read still count, exactly.
+TEST(KvScan, CountersSumScansOfExitedThreads) {
+  ScanStore::Options opt;
+  opt.window = 2;
+  ScanStore store(opt);
+  for (int i = 0; i < 40; ++i) store.put("exit" + std::to_string(i), "v");
+  store.finish_migration();
+  const std::uint64_t windows_one = [&] {
+    const std::uint64_t before = store.scan_windows();
+    store.scan(40, [](const std::string&, const std::string&) {});
+    return store.scan_windows() - before;
+  }();
+  const std::uint64_t scans0 = store.scans();
+  const std::uint64_t windows0 = store.scan_windows();
+  constexpr int kThreads = 3;
+  constexpr int kScansEach = 5;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&] {
+      for (int i = 0; i < kScansEach; ++i)
+        store.scan(40, [](const std::string&, const std::string&) {});
+    });
+  for (std::thread& th : threads) th.join();
+  // Nothing changed the store, so every scan commits the same windows.
+  EXPECT_EQ(store.scans(), scans0 + kThreads * kScansEach);
+  EXPECT_EQ(store.scan_windows(),
+            windows0 + kThreads * kScansEach * windows_one);
+  EXPECT_EQ(store.scan_resumes(), 0u);
+}
+
+// A scan window's read set holds what the walk reads and nothing more:
+// the chain-head hints it issues ahead of itself (Store::prefetch_ahead)
+// are plain loads, never tx.read. On a frozen table, one NOrec window
+// that reaches the scan's limit logs exactly as many words as it did
+// before the hints existed.
+TEST(KvScan, ScanWindowLogsOnlyWhatItWalks) {
+  ScanStore::Options opt;
+  opt.log2_buckets = 4;
+  opt.max_log2_buckets = opt.log2_buckets;  // frozen: no grow, no migration
+  ScanStore store(opt);
+  for (int i = 0; i < 128; ++i) store.put("rs" + std::to_string(i), "v");
+  const std::uint64_t windows = store.scan_windows();
+  EXPECT_EQ(store.scan(12, [](const std::string&, const std::string&) {}),
+            12u);
+  EXPECT_EQ(store.scan_windows(), windows + 1) << "not a single window";
+  EXPECT_EQ(tm::Norec::tls_tx().logged_reads(), 20u);
+}
+
 // RR-Null carries no real reservation, so every window boundary comes
 // back nil — the scan must reseek from its remembered position each
 // window and still produce the exact canonical sequence (and the nil
@@ -466,6 +521,95 @@ TEST(KvScan, ScanLeavesNoFootprint) {
                     [](const std::string&, const std::string&) {});
     for (const std::string& k : keys) store.del(k);
     EXPECT_EQ(store.size(), 0u);
+  }
+  EXPECT_EQ(reclaim::Gauge::live(), baseline);
+}
+
+// The scan's stage-2 hint dereferences a chain head it loaded without
+// tx.read (Store::prefetch_ahead). Two threads scan the whole store in
+// window-4 transactions while a third deletes, re-inserts and overwrites
+// the chain head of every bucket of a small frozen table, so the heads
+// the hints load are freed under them. Every scan stays strictly
+// ascending in canonical order (so duplicate-free) and holds every key
+// the churn never touches, the footprint is exactly the entries plus the
+// tables, and teardown frees everything. Under AddressSanitizer a load
+// from a freed head is a report.
+TEST(KvScan, PrefetchSurvivesConcurrentHeadFrees) {
+  const long long baseline = reclaim::Gauge::live();
+  {
+    ScanStore::Options opt;
+    opt.log2_shards = 1;
+    opt.log2_buckets = 4;
+    opt.max_log2_buckets = opt.log2_buckets;  // frozen: heads stay heads
+    opt.window = 4;
+    ScanStore store(opt);
+    std::vector<std::string> keys;
+    for (std::uint64_t r = 0; r < 96; ++r) {
+      keys.push_back(kv::make_key(r));
+      store.put(keys.back(), kv::make_value(r, 0));
+    }
+    // Each bucket's head is its canonically first key.
+    std::map<std::uint64_t, std::string> head_of;
+    for (const std::string& k : keys) {
+      const std::uint64_t h = kv::detail::hash_bytes(k);
+      const std::uint64_t bucket =
+          ((h >> 63) << 4) | kv::detail::bucket_index(h, 4, 1);
+      const auto [it, fresh] = head_of.emplace(bucket, k);
+      if (!fresh && canon_less(k, it->second)) it->second = k;
+    }
+    std::set<std::string> heads;
+    for (const auto& [bucket, k] : head_of) heads.insert(k);
+    ASSERT_GE(heads.size(), 24u);
+    std::vector<std::string> stable;
+    for (const std::string& k : keys)
+      if (heads.count(k) == 0) stable.push_back(k);
+    std::sort(stable.begin(), stable.end(), canon_less);
+
+    // Sized so the churn and the scans run for about as long.
+    constexpr int kRounds = 1500;
+    constexpr int kScans = 1000;
+    std::thread churn([&] {
+      for (int round = 0; round < kRounds; ++round)
+        for (const std::string& k : heads) {
+          store.del(k);
+          store.put(k, "re");
+          store.put(k, "over" + std::to_string(round));  // replace + free
+        }
+    });
+    std::atomic<int> unordered{0};
+    std::atomic<int> missing{0};
+    const auto scanner = [&] {
+      for (int i = 0; i < kScans; ++i) {
+        std::vector<std::string> seen;
+        store.scan(keys.size(),
+                   [&](const std::string& k, const std::string&) {
+                     seen.push_back(k);
+                   });
+        if (std::adjacent_find(seen.begin(), seen.end(),
+                               [](const std::string& a, const std::string& b) {
+                                 return !canon_less(a, b);
+                               }) != seen.end())
+          unordered.fetch_add(1);
+        std::vector<std::string> kept;
+        std::copy_if(
+            seen.begin(), seen.end(), std::back_inserter(kept),
+            [&](const std::string& k) { return heads.count(k) == 0; });
+        if (kept != stable) missing.fetch_add(1);
+      }
+    };
+    std::thread scan_a(scanner);
+    std::thread scan_b(scanner);
+    scan_a.join();
+    scan_b.join();
+    churn.join();
+    EXPECT_EQ(unordered.load(), 0) << "scans out of order or duplicated";
+    EXPECT_EQ(missing.load(), 0) << "scans lost or invented untouched keys";
+    EXPECT_TRUE(store.is_consistent());
+    EXPECT_EQ(store.size(), keys.size());
+    const long long tables = static_cast<long long>(store.shard_count());
+    EXPECT_EQ(reclaim::Gauge::live() - baseline,
+              static_cast<long long>(keys.size()) + tables +
+                  static_cast<long long>(store.reservation_overhead()));
   }
   EXPECT_EQ(reclaim::Gauge::live(), baseline);
 }

@@ -13,17 +13,18 @@
 #include "kv/workload.hpp"
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/rr.hpp"
 #include "reclaim/gauge.hpp"
+#include "util/thread_registry.hpp"
 #include "util/zipfian.hpp"
 
 namespace hohtm::kv {
@@ -106,15 +107,11 @@ TEST(KvWorkloadCell, ReadOnlyCellHitsAndFreesEveryNode) {
 // The same cell on a table frozen at its initial size (long chains, so a
 // window of 4 hands over many times per op), unfused and then with a
 // fusion budget, every count pinned: fusion elides boundary transactions
-// and adds no abort and no quiescence wait. The counts are deterministic
-// only for a fixed process history: each worker seeds its first-window
-// scatter (Store::initial_scatter) from its thread-registry generation,
-// so threads registered by earlier tests in the same process shift them.
-// The cells therefore run in a freshly executed copy of this binary (a
-// threadsafe-style death test), which prints the counts for the parent
-// to match.
+// and adds no abort and no quiescence wait. Each thread seeds its
+// first-window scatter (Store::initial_scatter) from a ticket the store
+// hands out, so the counts are the same in a fresh process and after the
+// process has registered and retired threads and run another cell.
 TEST(KvWorkloadCell, FrozenWindowFourFusionCountsAreExact) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto frozen_cell = [](int fusion_cap) {
     return run_kv_cell(read_only_cell(), [&] {
       CellStore::Options opt;
@@ -124,23 +121,30 @@ TEST(KvWorkloadCell, FrozenWindowFourFusionCountsAreExact) {
       return std::make_unique<CellStore>(opt);
     }).counters;
   };
-  auto print = [](const char* name, const tm::StatCounters& c) {
-    std::fprintf(stderr, "%s: commits=%llu fused_windows=%llu aborts=%llu "
-                 "qwaits=%llu\n", name,
-                 static_cast<unsigned long long>(c.commits),
-                 static_cast<unsigned long long>(c.fused_windows),
-                 static_cast<unsigned long long>(c.aborts),
-                 static_cast<unsigned long long>(c.quiescence_waits));
+  auto check_pair = [&](const char* history) {
+    SCOPED_TRACE(history);
+    const tm::StatCounters unfused = frozen_cell(0);
+    EXPECT_EQ(unfused.commits, 7807u);
+    EXPECT_EQ(unfused.fused_windows, 0u);
+    EXPECT_EQ(unfused.aborts, 0u);
+    EXPECT_EQ(unfused.quiescence_waits, 0u);
+    const tm::StatCounters fused = frozen_cell(16);
+    EXPECT_EQ(fused.commits, 2029u);
+    EXPECT_EQ(fused.fused_windows, 7039u);
+    EXPECT_EQ(fused.aborts, 0u);
+    EXPECT_EQ(fused.quiescence_waits, 0u);
   };
-  EXPECT_EXIT(
-      {
-        print("unfused", frozen_cell(0));
-        print("fused", frozen_cell(16));
-        std::exit(0);
-      },
-      ::testing::ExitedWithCode(0),
-      "unfused: commits=7819 fused_windows=0 aborts=0 qwaits=0\n"
-      "fused: commits=2029 fused_windows=7052 aborts=0 qwaits=0\n");
+  check_pair("as run first");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t)
+    threads.emplace_back([] { (void)util::ThreadRegistry::generation(); });
+  for (std::thread& th : threads) th.join();
+  run_kv_cell(read_only_cell(), [] {
+    CellStore::Options opt;
+    opt.window = 16;
+    return std::make_unique<CellStore>(opt);
+  });
+  check_pair("after 8 threads and another cell");
 }
 
 }  // namespace
