@@ -1161,12 +1161,15 @@ class Store {
   /// earlier, and requests its successor: at the ~1.5 entries per bucket
   /// the grow policy keeps, about half the emitted entries are not heads.
   /// A node is a 24-byte header plus its key and value bytes, 2-3 lines.
-  /// On a 4-vCPU Xeon guest, a 100k-record scan paid 146-231 ns per
+  /// Stage 2 runs only over backends whose writes are buffered until
+  /// commit (TM::kBuffersWrites; see prefetch_ahead). On a 4-vCPU Xeon
+  /// guest, a 100k-record scan paid 146-231 ns per
   /// emitted entry without the pipeline and 116-165 ns with it (one
-  /// pinned thread), and perfbench store-scan-insert p90 fell from 15.1
-  /// to 10.1 us, throughput rose from 327k to 445k ops/s (medians of 14
-  /// alternating 25 s pairs, 14/14 won). A heads-only prototype (stage 1,
-  /// 2 lines) won p90 in only 6 of 7 pairs, at a ~0.83 ratio.
+  /// pinned thread), and perfbench store-scan-insert p90 fell from 18.6
+  /// to 11.5 us, throughput rose from 278k to 412k ops/s (medians of 12
+  /// 25 s pairs whose first-run side alternated, 12/12 won). A heads-only
+  /// prototype (stage 1, 2 lines) won p90 in only 6 of 7 pairs, at a
+  /// ~0.83 ratio.
   static constexpr std::size_t kPrefetchFar = 8;
   static constexpr std::size_t kPrefetchNear = 4;
   static constexpr std::size_t kPrefetchLines = 3;
@@ -1200,21 +1203,28 @@ class Store {
   }
 
   /// Both stages for a walk that has just entered bucket `b`. Stage 2
-  /// dereferences an unvalidated pointer, and is memory-safe only because
-  /// the slot load and the dereference happen here, in one step with no
+  /// dereferences an unvalidated pointer. That is memory-safe only when
+  /// the backend buffers its writes until commit (TM::kBuffersWrites),
+  /// so a slot only ever holds a committed node, and only because the
+  /// slot load and the dereference happen here, in one step with no
   /// tx.read between them (a tx.read may revalidate and publish a newer
   /// snapshot). Unlinking a head writes its slot, so any remover that
   /// unlinks the head after the slot load commits after the snapshot
   /// this transaction has published, and the remover's quiescence fence
-  /// waits for this transaction before it frees the node.
+  /// waits for this transaction before it frees the node. An in-place
+  /// backend (TlEager, Tml, GLock) can put an uncommitted node in a slot
+  /// and free it at once when its writer aborts, so there stage 2 is
+  /// compiled out; stage 1 only prefetches, which never faults.
   static void prefetch_ahead(detail::Table* cur, std::size_t b) noexcept {
     const std::size_t buckets = cur->buckets();
     if (b + kPrefetchFar < buckets)
       prefetch_node(head_hint(cur, b + kPrefetchFar));
-    if (b + kPrefetchNear < buckets) {
-      if (detail::Node* near = head_hint(cur, b + kPrefetchNear))
-        prefetch_node(std::atomic_ref<detail::Node*>(near->next)
-                          .load(std::memory_order_acquire));
+    if constexpr (TM::kBuffersWrites) {
+      if (b + kPrefetchNear < buckets) {
+        if (detail::Node* near = head_hint(cur, b + kPrefetchNear))
+          prefetch_node(std::atomic_ref<detail::Node*>(near->next)
+                            .load(std::memory_order_acquire));
+      }
     }
   }
 

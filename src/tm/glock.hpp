@@ -83,6 +83,9 @@ class GLock {
   }
   static constexpr const char* name() noexcept { return "glock"; }
 
+  /// Writes land in place.
+  static constexpr bool kBuffersWrites = false;
+
   /// Fence for non-TM reclaimers (hazard pointers) freeing memory that
   /// transactions may have read: GLock transactions only ever read
   /// reachable nodes while holding the global mutex, so no wait is

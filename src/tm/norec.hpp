@@ -125,6 +125,10 @@ class Norec {
     void abort_serial() noexcept {
       undo_.roll_back();
       seqlock().unlock_to(snapshot_ + 2);
+      // The in-place writes may have published this attempt's
+      // allocations to a reader between two reads; it revalidates at its
+      // next read, so wait for that before the allocations go.
+      if (life_.has_allocs()) quiescence().wait_until(snapshot_ + 2);
       life_.abort();
       serial_ = false;
     }
@@ -231,6 +235,13 @@ class Norec {
     return tx;
   }
   static constexpr const char* name() noexcept { return "norec"; }
+
+  /// A running transaction's plain loads never return a pointer to an
+  /// allocation that is freed without a quiescence fence: the redo log
+  /// is written back only after commit-time validation has passed, and
+  /// the serial mode, which writes in place beside running readers,
+  /// fences the frees of an aborted attempt's allocations (abort_serial).
+  static constexpr bool kBuffersWrites = true;
 
   /// Fence for non-TM reclaimers (hazard pointers): wait until every
   /// in-flight transaction has validated at or past the current clock;

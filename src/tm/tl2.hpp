@@ -309,6 +309,12 @@ class Tl2 {
   }
   static constexpr const char* name() noexcept { return "tl2"; }
 
+  /// A running transaction's plain loads never return a pointer to an
+  /// allocation that is freed without a quiescence fence: the redo log
+  /// is written back only after commit-time validation has passed, and
+  /// the serial mode, which writes in place, stops the world first.
+  static constexpr bool kBuffersWrites = true;
+
   /// Fence for non-TM reclaimers (hazard pointers): wait until every
   /// transaction that began before now has finished (TL2 readers never
   /// advance their snapshot mid-transaction).

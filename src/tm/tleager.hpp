@@ -283,6 +283,11 @@ class TlEager {
   }
   static constexpr const char* name() noexcept { return "tleager"; }
 
+  /// Writes land in place at encounter time, and an abort frees the
+  /// attempt's allocations at once: a running transaction's plain load
+  /// can return a pointer to memory that is about to be freed.
+  static constexpr bool kBuffersWrites = false;
+
   static void quiesce_before_free() noexcept {
     quiescence().wait_until(orecs().clock());
   }

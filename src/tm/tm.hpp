@@ -30,6 +30,7 @@
 /// guarantee the paper obtains from HTM's immediate aborts.
 
 #include <concepts>
+#include <type_traits>
 
 #include "tm/glock.hpp"
 #include "tm/norec.hpp"
@@ -52,6 +53,9 @@ concept TMBackend = requires(typename TM::Tx& tx, int& loc, int val,
   { tx.dealloc(static_cast<int*>(nullptr)) };
   { TM::atomically([](typename TM::Tx&) {}) };
   { TM::name() } -> std::convertible_to<const char*>;
+  // True when a running transaction's plain (unlogged) loads can only
+  // return pointers whose frees wait for the quiescence fence.
+  { std::bool_constant<TM::kBuffersWrites>{} };
 };
 
 static_assert(TMBackend<GLock>);

@@ -173,6 +173,10 @@ class Tml {
   }
   static constexpr const char* name() noexcept { return "tml"; }
 
+  /// The writer stores in place beside running readers, and an aborted
+  /// attempt's allocations are freed at once.
+  static constexpr bool kBuffersWrites = false;
+
   /// Fence for non-TM reclaimers (hazard pointers): wait until every
   /// in-flight transaction has a snapshot at or past the current clock,
   /// so none can still hold (and re-validate) reads of an unlinked node.

@@ -254,6 +254,7 @@ class LifecycleLog {
   void on_commit(void* p, Thunk destroy) { frees_.push_back({p, destroy}); }
 
   bool has_pending_frees() const noexcept { return !frees_.empty(); }
+  bool has_allocs() const noexcept { return !allocs_.empty(); }
 
   PrivateLog& private_writes() noexcept { return private_; }
 

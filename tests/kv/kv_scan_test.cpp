@@ -3,10 +3,10 @@
 // cases (empty store, limit 0/1, absent start key), scans that span
 // shard boundaries, scans against a store frozen mid-resize, a scan
 // whose visitor forces grows mid-scan, the scan telemetry counters (down
-// to a YCSB-E cell's CSV columns) and a scan window's read set. Two
+// to a YCSB-E cell's CSV columns) and a scan window's read set. Three
 // cases run threads: counters summed over scanning threads that have
 // exited, and scans racing frees of the chain heads their prefetch hints
-// load. Everything else is single-threaded and deterministic — the
+// load, over a write-buffering and an in-place backend. Everything else is single-threaded and deterministic — the
 // explored concurrent interleavings live in
 // tests/sched/sched_scan_test.cpp.
 #include "kv/store.hpp"
@@ -525,24 +525,26 @@ TEST(KvScan, ScanLeavesNoFootprint) {
   EXPECT_EQ(reclaim::Gauge::live(), baseline);
 }
 
-// The scan's stage-2 hint dereferences a chain head it loaded without
-// tx.read (Store::prefetch_ahead). Two threads scan the whole store in
-// window-4 transactions while a third deletes, re-inserts and overwrites
-// the chain head of every bucket of a small frozen table, so the heads
-// the hints load are freed under them. Every scan stays strictly
-// ascending in canonical order (so duplicate-free) and holds every key
-// the churn never touches, the footprint is exactly the entries plus the
-// tables, and teardown frees everything. Under AddressSanitizer a load
-// from a freed head is a report.
-TEST(KvScan, PrefetchSurvivesConcurrentHeadFrees) {
+// The scan's hints load chain heads without tx.read, and stage 2
+// dereferences one (Store::prefetch_ahead). Two threads scan the whole
+// store in window-4 transactions while a third deletes, re-inserts and
+// overwrites (the replace path: a fresh node takes the slot, the old one
+// is freed) the chain head of every bucket of a small frozen table, so
+// the heads the hints load are freed under them. Every scan stays
+// strictly ascending in canonical order (so duplicate-free) and holds
+// every key the churn never touches, the footprint is exactly the
+// entries plus the tables, and teardown frees everything. Under
+// AddressSanitizer a load from a freed head is a report.
+template <class Store>
+void scan_against_head_churn() {
   const long long baseline = reclaim::Gauge::live();
   {
-    ScanStore::Options opt;
+    typename Store::Options opt;
     opt.log2_shards = 1;
     opt.log2_buckets = 4;
     opt.max_log2_buckets = opt.log2_buckets;  // frozen: heads stay heads
     opt.window = 4;
-    ScanStore store(opt);
+    Store store(opt);
     std::vector<std::string> keys;
     for (std::uint64_t r = 0; r < 96; ++r) {
       keys.push_back(kv::make_key(r));
@@ -612,6 +614,19 @@ TEST(KvScan, PrefetchSurvivesConcurrentHeadFrees) {
                   static_cast<long long>(store.reservation_overhead()));
   }
   EXPECT_EQ(reclaim::Gauge::live(), baseline);
+}
+
+// NOrec buffers its writes, so stage 2 runs.
+TEST(KvScan, PrefetchSurvivesConcurrentHeadFrees) {
+  scan_against_head_churn<ScanStore>();
+}
+
+// TlEager writes in place and frees an aborted writer's fresh node at
+// once, so a slot can hold a node that dies without a quiescence fence;
+// stage 2 is compiled out there (TM::kBuffersWrites) and stage 1 only
+// prefetches.
+TEST(KvScan, PrefetchSurvivesConcurrentHeadFreesInPlace) {
+  scan_against_head_churn<kv::Store<tm::TlEager, rr::RrDm<tm::TlEager>>>();
 }
 
 }  // namespace

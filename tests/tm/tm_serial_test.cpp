@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "reclaim/gauge.hpp"
 #include "tm/tm.hpp"
+#include "util/backoff.hpp"
 #include "util/barrier.hpp"
 
 namespace hohtm::tm {
@@ -141,6 +144,87 @@ TYPED_TEST(TmSerialTest, UserRetryCountsInStats) {
   setter.join();
   const auto after = Stats::total();
   EXPECT_GT(after.user_retries, before.user_retries);
+}
+
+// A serial attempt that publishes an allocation in place and then
+// throws: the write is rolled back and the allocation freed.
+TYPED_TEST(TmSerialTest, SerialAbortUndoesPublishedAllocation) {
+  using TM = TypeParam;
+  Config::set_serial_threshold(0);
+  static long* published;
+  published = nullptr;
+  const long long baseline = reclaim::Gauge::live();
+  EXPECT_THROW(TM::atomically([&](typename TM::Tx& tx) {
+                 tx.write(published, tx.template alloc<long>(7));
+                 throw std::runtime_error("abort");
+               }),
+               std::runtime_error);
+  EXPECT_EQ(published, nullptr);
+  EXPECT_EQ(reclaim::Gauge::live(), baseline);
+}
+
+// NOrec's serial mode writes in place while other transactions run, so a
+// reader between two reads can load a pointer to the serial attempt's
+// allocation. An aborted serial attempt must free its allocations only
+// after the quiescence fence. Here a reader loads the published pointer
+// inside its transaction, the writer throws, and the reader, still
+// inside, watches for the free across a window of kWatch loads: the
+// fence holds it back until the reader's transaction ends, so it is never
+// seen; without the fence it lands at once.
+struct Tracked {
+  static inline std::atomic<bool> freed{false};
+  ~Tracked() { freed.store(true, std::memory_order_release); }
+};
+
+TEST(TmSerialNorec, AbortFencesPublishedAllocations) {
+  constexpr int kWatch = 1 << 22;
+  Config::set_serial_threshold(8);  // the reader runs speculatively
+  static Tracked* published;
+  static long other;
+  published = nullptr;
+  other = 0;
+  Tracked::freed.store(false);
+  // 1: reader inside its transaction; 2: writer published; 3: reader
+  // loaded the pointer.
+  std::atomic<int> stage{0};
+  bool loaded = false;
+  bool freed_while_reading = true;
+  const auto advance = [&](int to) {
+    stage.store(to, std::memory_order_release);
+    stage.notify_all();
+  };
+  std::thread reader([&] {
+    Norec::atomically([&](Norec::Tx& tx) {
+      (void)tx.read(other);
+      advance(1);
+      stage.wait(1, std::memory_order_acquire);
+      std::atomic_ref<Tracked*> slot(published);
+      loaded = slot.load(std::memory_order_acquire) != nullptr;
+      advance(3);
+      // Rolled back once null again: the writer is in its abort path.
+      while (slot.load(std::memory_order_acquire) != nullptr)
+        util::cpu_relax();
+      bool freed = false;
+      for (int i = 0; i < kWatch && !freed; ++i)
+        freed = Tracked::freed.load(std::memory_order_acquire);
+      freed_while_reading = freed;
+    });
+  });
+  stage.wait(0, std::memory_order_acquire);
+  Config::set_serial_threshold(0);  // the writer runs serially
+  EXPECT_THROW(Norec::atomically([&](Norec::Tx& tx) {
+                 tx.write(published, tx.alloc<Tracked>());
+                 advance(2);
+                 stage.wait(2, std::memory_order_acquire);
+                 throw std::runtime_error("abort");
+               }),
+               std::runtime_error);
+  reader.join();
+  Config::set_serial_threshold(8);
+  EXPECT_TRUE(loaded);
+  EXPECT_FALSE(freed_while_reading);
+  EXPECT_TRUE(Tracked::freed.load());
+  EXPECT_EQ(published, nullptr);
 }
 
 }  // namespace
