@@ -79,11 +79,14 @@ for arg in "$@"; do
       ;;
     --net)
       # Serving-tier stage (docs/SERVING.md): the `net`-labeled tests
-      # alone — frame codec fuzzing, the loopback differential oracle,
-      # the depth-1 vs depth-16 fusion gate (fewer commits AND fewer
-      # quiescence waits per op at depth 16, at most 1.001 commits per
-      # op at depth 1), backpressure, and stalled-client reclamation
-      # (watchdog clean, Gauge-exact footprint).
+      # alone, each run five times so a race between the event loops
+      # (accept hand-off, shutdown) fails here rather than as a rare
+      # tier-1 flake — frame codec fuzzing, the loopback differential
+      # oracle, the shared-key check across loops, the depth-1 vs
+      # depth-16 fusion gate (fewer commits AND fewer quiescence waits
+      # per op at depth 16, at most 1.001 commits per op at depth 1),
+      # backpressure, fairness, and stalled-client reclamation (watchdog
+      # clean, Gauge-exact footprint).
       NET=1
       ;;
     --full-bench) FULL_BENCH=1 ;;
@@ -201,8 +204,9 @@ if [ "$METRICS" -eq 1 ]; then
 fi
 
 if [ "$NET" -eq 1 ]; then
-  echo "== tests (serving tier: ctest -L net)"
-  if ! ctest --test-dir "$BUILD_DIR" --output-on-failure -L net; then
+  echo "== tests (serving tier: ctest -L net, 5 repeats)"
+  if ! ctest --test-dir "$BUILD_DIR" --output-on-failure -L net \
+      --repeat until-fail:5; then
     echo "FAIL: serving-tier tests" >&2
     exit 1
   fi

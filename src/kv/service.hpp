@@ -39,23 +39,14 @@ struct Completion {
   /// committed inside fused groups, fused group transactions).
   std::uint64_t fused_ops = 0;
   std::uint64_t batch_txs = 0;
-  /// Optional post-signal hook for poll-style waiters (the net event
-  /// loop's eventfd kick). Runs after the release store + notify, and
-  /// must touch ONLY its argument: a concurrent wait()er may already
-  /// have destroyed this Completion by the time the hook runs.
-  void (*on_signal)(void*) = nullptr;
-  void* on_signal_arg = nullptr;
 
   void wait() noexcept {
     while (state.load(std::memory_order_acquire) == 0) state.wait(0);
   }
   void signal(ResultCode code) noexcept {
-    void (*hook)(void*) = on_signal;
-    void* hook_arg = on_signal_arg;
     rc = code;
     state.store(1, std::memory_order_release);
     state.notify_all();
-    if (hook != nullptr) hook(hook_arg);
   }
   void reset() noexcept {
     state.store(0, std::memory_order_relaxed);
@@ -66,8 +57,6 @@ struct Completion {
     entries.clear();
     fused_ops = 0;
     batch_txs = 0;
-    on_signal = nullptr;
-    on_signal_arg = nullptr;
   }
 };
 
@@ -234,11 +223,15 @@ class Service {
   /// the same stop() gate as submit() — after stop() begins it returns
   /// false and answers kShutdown without touching the store, and stop()
   /// waits for an op already past the gate — and counts in stats().
-  /// The net event loop runs single-op pipeline reads this way
+  /// Every net event loop runs its pipeline batches this way
   /// (docs/SERVING.md). Never pass kStop.
   bool run_here(Request req) {
     return gated(req, [&] { execute(req, stats_.mine()); });
   }
+
+  /// The worker count this service was built with; net::Server runs one
+  /// event loop per worker.
+  std::size_t workers() const noexcept { return workers_.size(); }
 
   /// Convenience synchronous client calls (one Completion on the stack).
   ResultCode get(std::string key, std::string& value_out) {

@@ -18,8 +18,8 @@ int connect_tcp(std::uint16_t port);
 
 int set_nonblocking(int fd);
 
-/// eventfd for cross-thread event-loop wakeups (the Completion
-/// on_signal hook writes here; the epoll loop drains it).
+/// eventfd for cross-thread event-loop wakeups (loop 0's connection
+/// hand-off and Server::stop() write here; the woken loop drains it).
 int make_eventfd();
 
 /// Write all `n` bytes to a blocking fd, retrying on EINTR/short writes.

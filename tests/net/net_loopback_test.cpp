@@ -1,20 +1,25 @@
 // End-to-end serving-tier tests over real loopback sockets
 // (docs/SERVING.md): pipelined multi-connection runs checked against a
-// std::map differential oracle, in-order completion, per-connection
-// backpressure, torn writes, oversized-frame rejection, idle timeout,
-// the event loop's poll-then-park rule, the wake hook's eventfd
-// lifetime, and the stalled-client reclamation scenario — a connection
-// parked mid-pipeline must leave the reclamation-stall watchdog clean
-// and the footprint Gauge-exact while other clients churn.
+// std::map differential oracle, shared hot keys read across event loops
+// checked against client-side send/receive stamps, in-order completion,
+// per-connection backpressure, one-batch-per-pass fairness, loop
+// isolation under a held transaction, descriptor hygiene when stop()
+// races accepts, torn writes, half-close, oversized-frame rejection,
+// idle timeout, the poll-then-park rule, and the stalled-client
+// reclamation scenario — a connection parked mid-pipeline must leave
+// the reclamation-stall watchdog clean and the footprint Gauge-exact
+// while other clients churn.
 
 #include "net/server.hpp"
 
 #include <gtest/gtest.h>
-#include <sys/eventfd.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -51,6 +56,31 @@ void idle_for(std::chrono::milliseconds d) {
   std::condition_variable cv;
   std::unique_lock<std::mutex> lock(m);
   cv.wait_for(lock, d, [] { return false; });
+}
+
+/// True once `fd` has bytes (or EOF) to read, false after `ms` without.
+bool readable_within(int fd, int ms) {
+  pollfd p{fd, POLLIN, 0};
+  return ::poll(&p, 1, ms) == 1;
+}
+
+/// Spin (bounded) until loop 0 has accepted `n` connections: the n-th
+/// accepted connection goes to loop n % K, so tests that place
+/// connections on loops connect one at a time.
+bool wait_accepted(const Server& server, std::uint64_t n) {
+  for (int i = 0; i < 10000; ++i) {
+    if (server.counters().accepted >= n) return true;
+    idle_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    ++n;
+  return n;
 }
 
 /// A one-shot barrier a hook can park in: the hooked thread calls
@@ -142,13 +172,13 @@ struct PipelineCost {
 // Multi-connection pipelined mixed-op run against per-connection
 // std::map oracles (disjoint keyspaces make each oracle independent),
 // with the in-order-completion assertion: every response carries the
-// next expected seq for its connection, strictly increasing. Depth 16
-// sends every batch through the ring to the workers; depth 1 runs every
-// batch inline on the loop thread.
-PipelineCost run_pipelined_oracle(int pipeline, const Store::Options& opt) {
+// next expected seq for its connection, strictly increasing. `loops`
+// event loops serve the four connections.
+PipelineCost run_pipelined_oracle(int pipeline, const Store::Options& opt,
+                                  std::size_t loops = 2) {
   SCOPED_TRACE("pipeline depth " + std::to_string(pipeline));
   Store store(opt);
-  Service svc(store, 2);
+  Service svc(store, loops);
   Server server(svc, Server::Options{});
   if (!server.ok()) {
     ADD_FAILURE() << "failed to bind the loopback server";
@@ -232,10 +262,9 @@ PipelineCost run_pipelined_oracle(int pipeline, const Store::Options& opt) {
   const tm::StatCounters after = tm::Stats::total();
   const Server::Counters c = server.counters();
   EXPECT_GE(c.accepted, static_cast<std::uint64_t>(kConns));
-  EXPECT_EQ(c.batches, static_cast<std::uint64_t>(kConns * rounds));
   // One flush is one loopback segment, so each pipeline read is exactly
-  // one flush: a lone op always runs inline, a full pipeline never does.
-  EXPECT_EQ(c.inline_batches, pipeline == 1 ? c.batches : 0u);
+  // one flush and one batch.
+  EXPECT_EQ(c.batches, static_cast<std::uint64_t>(kConns * rounds));
   const std::uint64_t ops =
       static_cast<std::uint64_t>(kConns * rounds * pipeline);
   EXPECT_EQ(svc.stats().gets + svc.stats().puts + svc.stats().dels, ops);
@@ -261,14 +290,17 @@ TEST(NetLoopback, MultiConnectionPipelinedDifferentialOracle) {
 // with nonzero fused ops. One frozen shard makes every batch one
 // fuseable run and keeps migration transactions out of the counts, so a
 // depth-1 op is exactly its own window transaction: a per-op probe
-// transaction would read 2.0 commits/op or more.
+// transaction would read 2.0 commits/op or more. That holds for one
+// executor, so depth 1 runs on one loop: with two loops running depth-1
+// ops at once on the one shard, an op now and then commits twice (1.0013
+// commits/op in 3 of 480 runs under load).
 TEST(NetLoopback, PipelineDepthCutsCommitsAndQuiescenceWaitsPerOp) {
   Store::Options frozen = small_store();
   frozen.log2_shards = 0;
   frozen.log2_buckets = 6;
   frozen.max_log2_buckets = frozen.log2_buckets;
   frozen.fusion_cap = 16;
-  const PipelineCost d1 = run_pipelined_oracle(1, frozen);
+  const PipelineCost d1 = run_pipelined_oracle(1, frozen, 1);
   const PipelineCost d16 = run_pipelined_oracle(16, frozen);
   EXPECT_LE(d1.commits_per_op, 1.001);
   EXPECT_LT(d16.commits_per_op, d1.commits_per_op);
@@ -398,23 +430,27 @@ TEST(NetLoopback, IdleServerParks) {
   ASSERT_TRUE(client.connect(server.port()));
   const std::uint64_t parks_before = server.counters().loop_parks;
   net::NetResponse r;
-  for (int i = 0; i < 8; ++i) {  // inline single ops
+  for (int i = 0; i < 8; ++i) {  // single-op batches
     client.queue_put("idle" + std::to_string(i), "v");
     ASSERT_GT(client.flush(), 0u);
     ASSERT_TRUE(client.recv(r));
   }
-  client.queue_get("idle0");  // and one ring batch
+  client.queue_get("idle0");  // and one two-op batch
   client.queue_get("idle1");
   ASSERT_GT(client.flush(), 0u);
   ASSERT_TRUE(client.recv(r));
   ASSERT_TRUE(client.recv(r));
 
-  // Let the window lapse: wait (bounded) until loop_polls holds still.
+  // Let the window lapse: wait (bounded) until the loop has parked again
+  // and loop_polls holds still. Polls alone also hold still while the
+  // loop thread is descheduled mid-window on a loaded host.
   Server::Counters settled = server.counters();
   for (int i = 0; i < 200; ++i) {
     idle_for(std::chrono::milliseconds(5));
     const Server::Counters now = server.counters();
-    if (now.loop_polls == settled.loop_polls) break;
+    if (now.loop_polls == settled.loop_polls &&
+        now.loop_parks > parks_before)
+      break;
     settled = now;
   }
   idle_for(std::chrono::milliseconds(30));
@@ -426,118 +462,339 @@ TEST(NetLoopback, IdleServerParks) {
   svc.stop();
 }
 
-// A ring batch whose worker is held mid-transaction for longer than the
-// poll window: the loop parks during the hold, and the completion still
-// reaches it through the worker's eventfd write, answered in order. The
-// loop's fallback wake is its 100 ms park timeout, so a response within
-// 50 ms of the release came through the eventfd.
-TEST(NetLoopback, RingBatchOutlivingPollWindowIsAnswered) {
-  auto opt = small_store();
-  opt.fusion_cap = 0;  // every batch op runs its own transaction
-  Store store(opt);
+/// A store whose every batch op runs its own transaction, with a fail
+/// hook that, once armed, parks the first transaction to reach it in
+/// `gate`.
+struct HeldStore {
   Gate gate;
-  std::atomic<bool> held{false};
-  store.set_fail_hook_for_testing([&] {
-    if (!held.exchange(true, std::memory_order_relaxed)) gate.hold();
-  });
-  Service svc(store, 1);
+  std::atomic<bool> held{true};
+  Store store;
+
+  HeldStore() : store(unfused()) {
+    store.set_fail_hook_for_testing([this] {
+      if (!held.exchange(true, std::memory_order_relaxed)) gate.hold();
+    });
+  }
+  void arm() { held.store(false, std::memory_order_relaxed); }
+  static Store::Options unfused() {
+    Store::Options opt = small_store();
+    opt.fusion_cap = 0;
+    return opt;
+  }
+};
+
+// Loops are isolated: a transaction held mid-batch on loop 0 stalls
+// only loop 0's connections. A GET on loop 1 is answered during the
+// hold (a read-only commit has no fence to wait at), and the held
+// connection is answered in order once released.
+TEST(NetLoopback, HeldTransactionOnOneLoopDoesNotDelayAnother) {
+  HeldStore hs;
+  Service svc(hs.store, 2);
   Server server(svc, Server::Options{});
   ASSERT_TRUE(server.ok());
 
-  net::Client client;
-  ASSERT_TRUE(client.connect(server.port()));
-  const std::uint32_t s1 = client.queue_put("held-a", "1");
-  const std::uint32_t s2 = client.queue_put("held-b", "2");
-  ASSERT_GT(client.flush(), 0u);
-  ASSERT_TRUE(gate.wait_entered());
-  const std::uint64_t parks_at_hold = server.counters().loop_parks;
-  for (int i = 0; i < 1000; ++i) {
-    if (server.counters().loop_parks > parks_at_hold) break;
-    idle_for(std::chrono::milliseconds(1));
-  }
-  const std::uint64_t parks_in_hold =
-      server.counters().loop_parks - parks_at_hold;
-  EXPECT_GE(parks_in_hold, 1u);
-  EXPECT_EQ(server.counters().batches, 1u);
-  EXPECT_EQ(server.counters().inline_batches, 0u);
-
-  const auto released = std::chrono::steady_clock::now();
-  gate.release();
+  net::Client held;  // accepted first: loop 0
+  ASSERT_TRUE(held.connect(server.port()));
+  ASSERT_TRUE(wait_accepted(server, 1));
+  net::Client other;  // accepted second: loop 1
+  ASSERT_TRUE(other.connect(server.port()));
+  ASSERT_TRUE(wait_accepted(server, 2));
   net::NetResponse r;
-  ASSERT_TRUE(client.recv(r));
+  other.queue_put("free", "v");
+  ASSERT_GT(other.flush(), 0u);
+  ASSERT_TRUE(other.recv(r));
+
+  hs.arm();
+  const std::uint32_t s1 = held.queue_put("held-a", "1");
+  const std::uint32_t s2 = held.queue_put("held-b", "2");
+  ASSERT_GT(held.flush(), 0u);
+  ASSERT_TRUE(hs.gate.wait_entered());
+
+  other.queue_get("free");
+  ASSERT_GT(other.flush(), 0u);
+  EXPECT_TRUE(readable_within(other.fd(), 5000))
+      << "a GET on loop 1 waited for a transaction held on loop 0";
+  hs.gate.release();
+  ASSERT_TRUE(other.recv(r));
+  EXPECT_EQ(r.status, net::WireStatus::kOk);
+  EXPECT_EQ(r.value, "v");
+  ASSERT_TRUE(held.recv(r));
   EXPECT_EQ(r.seq, s1);
-  EXPECT_EQ(r.status, net::WireStatus::kOk);
   EXPECT_TRUE(r.created);
-  ASSERT_TRUE(client.recv(r));
-  const auto answered = std::chrono::steady_clock::now();
+  ASSERT_TRUE(held.recv(r));
   EXPECT_EQ(r.seq, s2);
-  EXPECT_EQ(r.status, net::WireStatus::kOk);
   EXPECT_TRUE(r.created);
-  EXPECT_LT(answered - released, std::chrono::milliseconds(50));
   server.stop();
   svc.stop();
 }
 
-// A worker signals a ring batch's Completion and only then runs the wake
-// hook's eventfd write. stop() must not close the eventfd in between:
-// the number could be reused and the write would land in a stranger's
-// descriptor. Hold a hook before its write, let stop() run, claim every
-// descriptor number it could have freed, then release the hook: none of
-// the claimed descriptors may receive the write.
-TEST(NetLoopback, StopWaitsForWakeHookBeforeClosingEventfd) {
+// stop() racing a burst of connects leaves no descriptor open. Loop 1 is
+// held inside a transaction while loop 0 keeps accepting, so every
+// connection handed to loop 1 waits in its hand-off vector when stop()
+// begins; the loop returns without adopting them, and stop() must close
+// them along with the listener, eventfds, epoll sets and connections.
+TEST(NetLoopback, StopRacingConnectBurstLeavesNoDescriptorOpen) {
+  HeldStore hs;
+  Service svc(hs.store, 2);
+  const std::size_t fds_before = open_fds();
+  {
+    Server server(svc, Server::Options{});
+    ASSERT_TRUE(server.ok());
+    net::Client idle;  // loop 0
+    ASSERT_TRUE(idle.connect(server.port()));
+    ASSERT_TRUE(wait_accepted(server, 1));
+    net::Client held;  // loop 1
+    ASSERT_TRUE(held.connect(server.port()));
+    ASSERT_TRUE(wait_accepted(server, 2));
+    hs.arm();
+    held.queue_put("held-a", "1");
+    held.queue_put("held-b", "2");
+    ASSERT_GT(held.flush(), 0u);
+    ASSERT_TRUE(hs.gate.wait_entered());
+
+    constexpr int kThreads = 4;
+    constexpr int kConnectsPerThread = 8;
+    std::vector<std::vector<int>> client_fds(kThreads);
+    std::vector<std::thread> burst;
+    for (int t = 0; t < kThreads; ++t) {
+      burst.emplace_back([&, t] {
+        for (int i = 0; i < kConnectsPerThread; ++i) {
+          const int fd = net::connect_tcp(server.port());
+          if (fd >= 0) client_fds[t].push_back(fd);
+        }
+      });
+    }
+    // At least one connection (the 4th accepted) is parked in loop 1's
+    // hand-off before stop() begins; the rest race it.
+    ASSERT_TRUE(wait_accepted(server, 4));
+    std::thread stopper([&] { server.stop(); });
+    idle_for(std::chrono::milliseconds(50));
+    hs.gate.release();
+    stopper.join();
+    for (std::thread& t : burst) t.join();
+    for (const auto& fds : client_fds)
+      for (const int fd : fds) ::close(fd);
+  }
+  svc.stop();
+  EXPECT_EQ(open_fds(), fds_before);
+}
+
+// One batch per connection per loop pass: a connection that pipelines
+// 4,096 GETs in one write does not hold off a lone op on the same loop
+// until its backlog drains. Both land while loop 0 is held, so they are
+// read in the same pass; the lone PUT must run after at most one of the
+// flood's batches, which the flood's GETs show: at most one window of
+// them may read the value from before the PUT.
+TEST(NetLoopback, PipelineFloodDoesNotHoldOffLoneOpOnSameLoop) {
+  HeldStore hs;
+  Service svc(hs.store, 2);
+  const Server::Options opt;
+  Server server(svc, opt);
+  ASSERT_TRUE(server.ok());
+
+  // Accept order places held, flood and lone on loop 0.
+  net::Client held, filler1, flood, filler2, lone;
+  net::Client* order[] = {&held, &filler1, &flood, &filler2, &lone};
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    ASSERT_TRUE(order[i]->connect(server.port()));
+    ASSERT_TRUE(wait_accepted(server, i + 1));
+  }
+  net::NetResponse r;
+  lone.queue_put("hot", "old");
+  ASSERT_GT(lone.flush(), 0u);
+  ASSERT_TRUE(lone.recv(r));
+
+  hs.arm();
+  held.queue_put("held-a", "1");
+  held.queue_put("held-b", "2");
+  ASSERT_GT(held.flush(), 0u);
+  ASSERT_TRUE(hs.gate.wait_entered());
+
+  constexpr int kFlood = 4096;
+  std::vector<std::uint32_t> seqs;
+  for (int i = 0; i < kFlood; ++i) seqs.push_back(flood.queue_get("hot"));
+  std::atomic<bool> flushed{false};
+  std::thread writer([&] {
+    EXPECT_GT(flood.flush(), 0u);
+    flushed.store(true, std::memory_order_release);
+  });
+  for (int i = 0; i < 2000 && !flushed.load(std::memory_order_acquire); ++i)
+    idle_for(std::chrono::milliseconds(1));
+  lone.queue_put("hot", "new");
+  ASSERT_GT(lone.flush(), 0u);
+  hs.gate.release();
+  writer.join();
+
+  ASSERT_TRUE(lone.recv(r));
+  EXPECT_EQ(r.status, net::WireStatus::kOk);
+  std::size_t saw_old = 0;
+  for (int i = 0; i < kFlood; ++i) {
+    ASSERT_TRUE(flood.recv(r));
+    EXPECT_EQ(r.seq, seqs[static_cast<std::size_t>(i)]);
+    ASSERT_EQ(r.status, net::WireStatus::kOk);
+    if (r.value == "old") ++saw_old;
+  }
+  EXPECT_LE(saw_old, opt.max_inflight_ops)
+      << "the lone PUT waited behind the flood's backlog";
+  ASSERT_TRUE(held.recv(r));
+  ASSERT_TRUE(held.recv(r));
+  server.stop();
+  svc.stop();
+}
+
+// Shared hot keys across loops: four connections (two per loop) run
+// pipelined GETs and PUTs of unique values on 8 shared keys, each op
+// stamped by the client at send and at receive. Every GET must return
+// either the prefill value, when no PUT of the key had answered before
+// the GET was sent, or the value of a PUT sent before the GET answered
+// that no later PUT had certainly overwritten — one sent after that PUT
+// answered and answered before the GET was sent.
+TEST(NetLoopback, SharedHotKeysAcrossLoopsReadOnlyLiveValues) {
+  Store store(small_store());
+  Service svc(store, 2);
+  Server server(svc, Server::Options{});
+  ASSERT_TRUE(server.ok());
+
+  constexpr int kKeys = 8;
+  constexpr int kConns = 4;
+  constexpr int kOpsPerConn = 3000;
+  const std::string prefill = "prefill";
+  {
+    net::Client c;
+    ASSERT_TRUE(c.connect(server.port()));
+    for (int k = 0; k < kKeys; ++k) c.queue_put("hot" + std::to_string(k), prefill);
+    ASSERT_GT(c.flush(), 0u);
+    net::NetResponse r;
+    for (int k = 0; k < kKeys; ++k) ASSERT_TRUE(c.recv(r));
+  }
+
+  struct Event {
+    int key;
+    bool put;
+    std::string value;
+    std::int64_t sent;
+    std::int64_t answered;
+  };
+  const auto now = [] {
+    return std::chrono::steady_clock::now().time_since_epoch().count();
+  };
+  std::vector<std::vector<Event>> history(kConns);
+  std::vector<net::Client> clients(kConns);
+  for (int c = 0; c < kConns; ++c) {  // two connections per loop
+    ASSERT_TRUE(clients[static_cast<std::size_t>(c)].connect(server.port()));
+    ASSERT_TRUE(wait_accepted(server, static_cast<std::uint64_t>(c) + 2));
+  }
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConns; ++c) {
+    threads.emplace_back([&, c] {
+      net::Client& client = clients[static_cast<std::size_t>(c)];
+      std::vector<Event>& log = history[static_cast<std::size_t>(c)];
+      util::Xoshiro256 rng(0x5eed + static_cast<std::uint64_t>(c));
+      int issued = 0;
+      while (issued < kOpsPerConn) {
+        const int depth = 1 + static_cast<int>(rng.next_below(4));
+        const std::size_t first = log.size();
+        for (int d = 0; d < depth; ++d, ++issued) {
+          Event e{static_cast<int>(rng.next_below(kKeys)),
+                  rng.next_below(2) == 0, "", 0, 0};
+          const std::string key = "hot" + std::to_string(e.key);
+          if (e.put) {
+            e.value = "c" + std::to_string(c) + "-" + std::to_string(issued);
+            client.queue_put(key, e.value);
+          } else {
+            client.queue_get(key);
+          }
+          log.push_back(std::move(e));
+        }
+        const std::int64_t sent = now();
+        ASSERT_GT(client.flush(), 0u);
+        for (std::size_t i = first; i < log.size(); ++i) {
+          net::NetResponse r;
+          ASSERT_TRUE(client.recv(r));
+          log[i].answered = now();
+          log[i].sent = sent;
+          if (!log[i].put) {
+            ASSERT_EQ(r.status, net::WireStatus::kOk);
+            log[i].value = r.value;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::vector<std::vector<const Event*>> puts(kKeys);
+  std::map<std::string, const Event*> put_of;
+  for (const auto& log : history)
+    for (const Event& e : log)
+      if (e.put) {
+        puts[static_cast<std::size_t>(e.key)].push_back(&e);
+        put_of[e.value] = &e;
+      }
+  std::size_t gets = 0;
+  std::size_t violations = 0;
+  for (const auto& log : history) {
+    for (const Event& g : log) {
+      if (g.put) continue;
+      ++gets;
+      const auto& key_puts = puts[static_cast<std::size_t>(g.key)];
+      std::string why;
+      if (g.value == prefill) {
+        for (const Event* q : key_puts)
+          if (q->answered < g.sent) why = "prefill read after " + q->value;
+      } else if (const auto it = put_of.find(g.value);
+                 it == put_of.end() || it->second->key != g.key) {
+        why = "value never written to this key";
+      } else {
+        const Event* p = it->second;
+        if (p->sent > g.answered) why = "read before its PUT was sent";
+        for (const Event* q : key_puts)
+          if (q->sent > p->answered && q->answered < g.sent)
+            why = "overwritten by " + q->value;
+      }
+      if (!why.empty() && ++violations <= 5)
+        ADD_FAILURE() << "GET hot" << g.key << " -> " << g.value << ": "
+                      << why;
+    }
+  }
+  EXPECT_EQ(violations, 0u);
+  EXPECT_GT(gets, 0u);
+  server.stop();
+  svc.stop();
+}
+
+// A short read ends the read loop; the EOF behind it still arrives
+// through level-triggered epoll. An op followed by shutdown(SHUT_WR) is
+// answered, and then the server closes the connection.
+TEST(NetLoopback, OpThenHalfCloseIsAnsweredThenClosed) {
   Store store(small_store());
   Service svc(store, 1);
   Server server(svc, Server::Options{});
   ASSERT_TRUE(server.ok());
-  Gate gate;
-  server.set_wake_delay_for_testing([&] { gate.hold(); });
 
   net::Client client;
   ASSERT_TRUE(client.connect(server.port()));
-  client.queue_put("hook-a", "1");
-  client.queue_put("hook-b", "2");
+  const std::uint32_t seq = client.queue_put("half", "v");
   ASSERT_GT(client.flush(), 0u);
-  ASSERT_TRUE(gate.wait_entered());
+  ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
   net::NetResponse r;
-  ASSERT_TRUE(client.recv(r));  // harvested by polling or the park timeout
+  ASSERT_TRUE(readable_within(client.fd(), 5000));
   ASSERT_TRUE(client.recv(r));
-
-  std::mutex m;
-  std::condition_variable cv;
-  bool stopped = false;
-  std::thread stopper([&] {
-    server.stop();
-    std::lock_guard<std::mutex> lock(m);
-    stopped = true;
-    cv.notify_all();
-  });
-  {
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait_for(lock, std::chrono::milliseconds(50), [&] { return stopped; });
-    EXPECT_FALSE(stopped);  // still waiting for the held hook
-  }
-  std::vector<int> probes;
-  for (int i = 0; i < 16; ++i)
-    probes.push_back(eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
-  gate.release();
-  stopper.join();
-  svc.stop();  // joins the worker: its hook has returned
-  for (const int fd : probes) {
-    ASSERT_GE(fd, 0);
-    std::uint64_t count = 0;
-    EXPECT_LT(::read(fd, &count, sizeof(count)), 0)
-        << "a wake write landed in reused descriptor " << fd;
-    ::close(fd);
-  }
+  EXPECT_EQ(r.seq, seq);
+  EXPECT_EQ(r.status, net::WireStatus::kOk);
+  EXPECT_TRUE(r.created);
+  ASSERT_TRUE(readable_within(client.fd(), 5000)) << "never closed";
+  EXPECT_FALSE(client.recv(r));
+  server.stop();
+  svc.stop();
 }
 
 // The serving-robustness story: a client parked mid-pipeline holds no
-// reservation and no quiescence fence — workers never block on a socket,
-// and an inline op finishes before the loop touches another socket — so
-// reclamation stays watchdog-clean and precise while other clients churn
-// updates (which free nodes), and the final footprint is Gauge-exact.
-// The churn runs pipelined (ring to the workers) and then one op per
-// flush (every PUT/DEL commits on the loop thread).
+// reservation and no quiescence fence — a loop runs each batch to
+// completion before it touches another socket — so reclamation stays
+// watchdog-clean and precise while other clients churn updates (which
+// free nodes), and the final footprint is Gauge-exact. The churn runs
+// pipelined and then one op per flush (one batch per PUT/DEL).
 TEST(NetLoopback, StalledClientLeavesWatchdogCleanAndFootprintExact) {
   reclaim::Watchdog::reset_for_testing();
   const std::int64_t baseline = reclaim::Gauge::live();
@@ -582,7 +839,7 @@ TEST(NetLoopback, StalledClientLeavesWatchdogCleanAndFootprintExact) {
       ASSERT_GT(healthy.flush(), 0u);
       for (int i = 0; i < 32; ++i) ASSERT_TRUE(healthy.recv(r));
     }
-    const std::uint64_t inline_before = server.counters().inline_batches;
+    const std::uint64_t batches_before = server.counters().batches;
     for (int round = 0; round < 8; ++round) {
       for (int i = 0; i < 16; ++i) {
         const std::string key = "churn" + std::to_string(i);
@@ -596,7 +853,7 @@ TEST(NetLoopback, StalledClientLeavesWatchdogCleanAndFootprintExact) {
         EXPECT_EQ(r.status, net::WireStatus::kOk);
       }
     }
-    EXPECT_EQ(server.counters().inline_batches - inline_before, 8u * 32u);
+    EXPECT_EQ(server.counters().batches - batches_before, 8u * 32u);
     const reclaim::Watchdog::Report report = reclaim::Watchdog::check(
         t0 + reclaim::Watchdog::threshold_ns() + 1);
     EXPECT_EQ(report.stalled_threads, 0);

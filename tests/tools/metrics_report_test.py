@@ -162,7 +162,6 @@ class RenderCliTest(unittest.TestCase):
     def test_net_counters_render_serving_tier_section(self):
         doc = snapshot()
         doc["counters"].update({"net.batches": 250, "net.fused_ops": 3985,
-                                "net.inline_batches": 12,
                                 "net.loop_parks": 40,
                                 "net.loop_polls": 91234,
                                 "net.bytes_in": 292988,
@@ -171,8 +170,6 @@ class RenderCliTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("## serving tier", proc.stdout)
         self.assertIn("batches: 250, fused ops: 3985 (15.94 per batch)",
-                      proc.stdout)
-        self.assertIn("inline batches: 12 (single-op, run on the event loop)",
                       proc.stdout)
         self.assertIn("event loop: 40 parks (0.160 per batch), "
                       "91234 polls", proc.stdout)

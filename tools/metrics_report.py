@@ -101,11 +101,11 @@ def emit_heatmap(cells):
 
 
 def emit_net(counters):
-    """Serving-tier counters: pipeline batches (and how many of them ran
-    inline on the event loop instead of through the ring), ops committed
-    inside fused groups (with the per-batch fusion yield), event-loop
-    parks (blocking epoll_wait calls, per batch) and zero-timeout polls,
-    and raw wire traffic — registered by net::Server as net.* counters."""
+    """Serving-tier counters: pipeline batches, ops committed inside
+    fused groups (with the per-batch fusion yield), event-loop parks
+    (blocking epoll_wait calls, per batch) and zero-timeout polls, both
+    summed over the loops, and raw wire traffic — registered by
+    net::Server as net.* counters."""
     batches = counters.get("net.batches", 0)
     fused = counters.get("net.fused_ops", 0)
     if not batches and not fused:
@@ -113,8 +113,6 @@ def emit_net(counters):
     print("\n## serving tier")
     print(f"  batches: {batches}, fused ops: {fused} "
           f"({fused / max(batches, 1):.2f} per batch)")
-    print(f"  inline batches: {counters.get('net.inline_batches', 0)} "
-          f"(single-op, run on the event loop)")
     parks = counters.get("net.loop_parks", 0)
     print(f"  event loop: {parks} parks ({parks / max(batches, 1):.3f} per "
           f"batch), {counters.get('net.loop_polls', 0)} polls")
